@@ -164,7 +164,7 @@ def cmd_generate(args) -> int:
 
 def cmd_complexity(args) -> int:
     w = _resolve_word(args)
-    profile = complexity.factor_complexity(w, args.n_max, backend=args.backend)
+    profile = complexity.factor_complexity(w, args.n_max)
     rows = profile.rows()
     payload = {
         "command": "complexity",
@@ -228,9 +228,7 @@ def cmd_squarefree(args) -> int:
         }
         _emit(args, payload, names, [("word",)] + [(n,) for n in names])
         return EXIT_OK
-    census = complexity.square_free_census(
-        args.alphabet_size, args.n_max, workers=args.workers
-    )
+    census = complexity.square_free_census(args.alphabet_size, args.n_max)
     rows = list(enumerate(census.counts))
     payload = {
         "command": "squarefree",
@@ -606,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("complexity", cmd_complexity, "factor complexity profile p(n)")
     _add_word_source(sp)
     sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--backend", choices=("auto", "windows", "automaton"), default="auto")
 
     sp = add("arithmetic", cmd_arithmetic, "arithmetic complexity profile a(n)")
     _add_word_source(sp)
@@ -621,8 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphabet-size", type=int, default=3)
     sp.add_argument("--n-max", type=int, help="census horizon (omit on <= 2 letters)")
     sp.add_argument("--list", action="store_true", help="list the words themselves")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="processes for the census fan-out")
 
     sp = add("delta", cmd_delta, "apply or invert the block code a->abb, b->ab, c->a")
     sp.add_argument("--apply", metavar="WORD")

@@ -1,6 +1,5 @@
 """Complexity profiles, square-free censuses, a block code, and palindrome counts."""
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .budgets import budget
@@ -37,28 +36,15 @@ def _check_profile_args(w: Word, n_max: int) -> None:
         raise DomainError(f"n_max must be in 1..{len(w)}, got {n_max}")
 
 
-def factor_complexity(w: Word, n_max: int, backend: str = "auto") -> ComplexityProfile:
+def factor_complexity(w: Word, n_max: int) -> ComplexityProfile:
     """Count distinct length-n factors of w for each n in 1..n_max.
 
-    Both backends produce identical counts; "windows" deduplicates sliding
-    windows per length, "automaton" reads all lengths off a suffix automaton
-    and is preferred once len(w) * n_max gets large.
+    All lengths are read off one suffix automaton of w (Blumer et al.,
+    TCS 40, 1985), built in O(len(w)) states and transitions.
     """
     _check_profile_args(w, n_max)
-    if backend == "auto":
-        backend = "windows" if len(w) * n_max <= 2_000_000 else "automaton"
-    if backend == "windows":
-        counts = _factor_counts_windows(w.data, n_max)
-    elif backend == "automaton":
-        counts = _factor_counts_automaton(w.data, n_max)
-    else:
-        raise DomainError(f"unknown backend {backend!r}")
+    counts = _factor_counts_automaton(w.data, n_max)
     return ComplexityProfile("factor", tuple(counts), len(w), len(w.alphabet))
-
-
-def _factor_counts_windows(data: bytes, n_max: int) -> list[int]:
-    L = len(data)
-    return [len({data[i : i + n] for i in range(L - n + 1)}) for n in range(1, n_max + 1)]
 
 
 def _factor_counts_automaton(data: bytes, n_max: int) -> list[int]:
@@ -166,9 +152,8 @@ def _no_new_square(w: bytearray) -> bool:
     return True
 
 
-def _subtree_counts(args: tuple[int, int, bytes, int]) -> list[int]:
+def _subtree_counts(k: int, n_max: int, prefix: bytes, node_budget: int) -> list[int]:
     """Count square-free extensions of a prefix, by absolute length."""
-    k, n_max, prefix, node_budget = args
     counts = [0] * (n_max + 1)
     w = bytearray(prefix)
     if w:
@@ -223,6 +208,13 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
                        workers: int = 1, node_budget: int | None = None) -> SquareFreeCensus:
     """Tabulate a(n) by backtracking, pruning at the first square.
 
+    Permuting letters preserves square-freeness, so for n >= 2 every
+    square-free word is one of k(k-1) letter renamings of a word starting
+    with letters 0, 1: a(n) = k(k-1) * #{square-free words of length n that
+    start 0 1}. Only that one subtree is walked, and node_budget bounds the
+    nodes of that walk. workers is accepted for compatibility and must be at
+    least 1; it does not change the work or the result.
+
     With n_max=None the census runs until a(n) = 0, which only terminates on
     alphabets of size <= 2.
     """
@@ -243,33 +235,19 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
 
-    counts = _census_counts(alphabet_size, n_max, workers, node_budget)
+    k = alphabet_size
+    if k < 2 or n_max < 2:
+        counts = _subtree_counts(k, n_max, b"", node_budget)
+    else:
+        renamings = k * (k - 1)
+        counts = [renamings * c for c in _subtree_counts(k, n_max, b"\x00\x01", node_budget)]
+        counts[1] = k
+    counts[0] = 1
     if 0 in counts[1:]:
         first_zero = counts.index(0, 1)
         counts = counts[: first_zero + 1]
         terminated = True
     return SquareFreeCensus(alphabet_size, tuple(counts), terminated)
-
-
-def _census_counts(k: int, n_max: int, workers: int, node_budget: int) -> list[int]:
-    if workers == 1 or n_max < 3:
-        counts = _subtree_counts((k, n_max, b"", node_budget))
-        counts[0] = 1
-        return counts
-    # fan out one subtree per square-free prefix of length 2; the aggregate is
-    # a plain sum, so worker count cannot affect the result
-    split = 2
-    prefixes = [bytes(p) for p in _enumerate_square_free(k, split) if len(p) == split]
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    for p in _enumerate_square_free(k, split):
-        counts[len(p)] += 1 if len(p) < split else 0
-    jobs = [(k, n_max, p, node_budget) for p in prefixes]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub in pool.map(_subtree_counts, jobs):
-            for n in range(split, n_max + 1):
-                counts[n] += sub[n]
-    return counts
 
 
 def _enumerate_square_free(k: int, n_max: int):
@@ -291,7 +269,10 @@ def _enumerate_square_free(k: int, n_max: int):
 
 def count_square_free(alphabet_size: int, n: int, workers: int = 1,
                       node_budget: int | None = None) -> int:
-    """Number of square-free words of length exactly n over the given alphabet."""
+    """Number of square-free words of length exactly n over the given alphabet.
+
+    workers and node_budget are passed to square_free_census.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
     census = square_free_census(alphabet_size, n, workers, node_budget)

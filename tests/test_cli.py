@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -371,3 +375,14 @@ def test_every_documented_command_validates(capsys):
         code, payload = run_json(capsys, *argv)
         assert code == 0, argv
         assert payload["command"] == argv[0]
+
+
+def test_cli_import_starts_no_process_pool():
+    """Importing the CLI loads no multiprocessing or concurrent module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import fibword.cli, sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

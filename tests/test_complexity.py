@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import (
+    Alphabet,
     BudgetError,
     DomainError,
     FactorizationError,
@@ -59,14 +62,26 @@ def test_factor_complexity_matches_brute_force():
             assert profile.count(n) == expected
 
 
-def test_factor_backends_agree():
+def windows_oracle(data, n_max):
+    """Deduplicate the sliding windows of each length; the naive reference."""
+    return tuple(len({data[i : i + n] for i in range(len(data) - n + 1)})
+                 for n in range(1, n_max + 1))
+
+
+def test_factor_complexity_matches_windows_oracle():
     rng = random.Random(12)
     for _ in range(50):
         w = random_word(rng, rng.choice((2, 3)), rng.randrange(1, 200))
         n_max = min(len(w), 40)
-        a = factor_complexity(w, n_max, backend="windows")
-        b = factor_complexity(w, n_max, backend="automaton")
-        assert a.counts == b.counts
+        assert factor_complexity(w, n_max).counts == windows_oracle(w.data, n_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=300)
+    .map(lambda symbols: Word.from_indices(Alphabet("abcd"[:k]), symbols))))
+def test_factor_complexity_property(w):
+    assert factor_complexity(w, len(w)).counts == windows_oracle(w.data, len(w))
 
 
 def test_factor_complexity_rejects_bad_args():
@@ -75,8 +90,6 @@ def test_factor_complexity_rejects_bad_args():
         factor_complexity(w, 0)
     with pytest.raises(DomainError):
         factor_complexity(w, 3)  # longer than the word
-    with pytest.raises(DomainError):
-        factor_complexity(w, 2, backend="quantum")
 
 
 def test_thue_morse_complexity_start():
@@ -178,6 +191,22 @@ def test_census_matches_exhaustive_filter():
         assert census.counts[n] == filtered
 
 
+@pytest.mark.parametrize("k, n_max", [(1, None), (2, None), (4, 8)])
+def test_census_symmetry_matches_exhaustive_filter(k, n_max):
+    # the census walks only words starting with letters 0, 1 and scales by
+    # k(k-1); the filter enumerates every word over k letters. On 1 and 2
+    # letters it gives (1, 1, 0) and (1, 2, 2, 2, 0).
+    census = square_free_census(k, n_max)
+    filtered = [
+        sum(1 for t in itertools.product(range(k), repeat=n) if not has_square(t))
+        for n in range((n_max or 8) + 1)
+    ]
+    if 0 in filtered[1:]:
+        filtered = filtered[: filtered.index(0, 1) + 1]
+    assert census.counts == tuple(filtered)
+    assert census.terminated == (k < 3)
+
+
 def test_census_frozen_ternary_counts():
     census = square_free_census(3, 20)
     assert census.counts == TERNARY_COUNTS
@@ -225,6 +254,17 @@ def test_binary_census_terminates():
 def test_census_node_budget():
     with pytest.raises(BudgetError):
         square_free_census(3, 25, node_budget=100)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_census_budget_does_not_depend_on_workers(workers):
+    # one global budget over one walk: the outcome is the same for any
+    # worker count, and a(0..24) (A006156) fit in 20 000 nodes
+    census = square_free_census(3, 24, workers, node_budget=20_000)
+    assert census.counts[:21] == TERNARY_COUNTS
+    assert census.counts[21:] == (3180, 4146, 5418, 7032)
+    with pytest.raises(BudgetError):
+        square_free_census(3, 24, workers, node_budget=5_000)
 
 
 def test_count_square_free_single_lengths():
