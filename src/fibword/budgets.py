@@ -4,6 +4,7 @@ import os
 
 _DEFAULTS = {
     "MODULUS_LIMIT": 10_000_000,   # largest p**lambda the brute-force scan accepts
+    "PERIOD_STEPS": 100_000_000,   # steps of the one residue walk over a period
     "CENSUS_NODES": 5_000_000,     # nodes of the one subtree a square-free census walks
     "COVERAGE_CELLS": 20_000_000,  # bitmap cells (b**k) for coverage profiles
     "SP_TOTAL_MAXLEN": 400,        # word length cap for scattered palindrome totals

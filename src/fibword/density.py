@@ -70,6 +70,8 @@ class BalanceReport:
     worst_deviation: float
 
     def within_bound(self) -> bool:
+        # each row holds the correctly rounded deviation, and rounding is
+        # monotone, so this agrees with the exact test in balance_check
         return all(dev <= 1.0 / n for n, dev, _ in self.rows)
 
 
@@ -77,8 +79,9 @@ def balance_check(w: Word, symbol: "int | str", target: float,
                   n_values) -> BalanceReport:
     """Check |window frequency - target| <= 1/n for each window length n.
 
-    Raises BalanceViolation on the first offending window, which is how a
-    non-Sturmian input announces itself.
+    The test is exact: |count - n * target| <= 1, with the float target taken
+    as the rational it represents. Raises BalanceViolation on the first
+    offending window, which is how a non-Sturmian input announces itself.
     """
     s = w.alphabet.as_index(symbol)
     ns = sorted(set(int(n) for n in n_values))
@@ -86,25 +89,26 @@ def balance_check(w: Word, symbol: "int | str", target: float,
         raise DomainError("need at least one window length")
     if ns[0] < 1 or ns[-1] > len(w):
         raise DomainError(f"window lengths must lie in 1..{len(w)}")
+    if not math.isfinite(target):
+        raise DomainError(f"target must be a finite number, got {target}")
     occ = (np.frombuffer(w.data, dtype=np.uint8) == s).astype(np.int64)
     prefix = np.concatenate([[0], np.cumsum(occ)])
+    num, den = float(target).as_integer_ratio()
     rows = []
-    worst = (-1.0, 0, 0)  # (deviation * n, n, position)
+    worst = (-1, 0, 0)  # (den * |count - n * target|, n, position)
     for n in ns:
         counts = prefix[n:] - prefix[:-n]
         hi_at = int(np.argmax(counts))
         lo_at = int(np.argmin(counts))
-        dev_hi = counts[hi_at] / n - target
-        dev_lo = target - counts[lo_at] / n
-        if dev_hi >= dev_lo:
-            dev, pos = float(dev_hi), hi_at
-        else:
-            dev, pos = float(dev_lo), lo_at
-        if dev > 1.0 / n:
+        above = int(counts[hi_at]) * den - n * num     # den * (count - n * target)
+        below = n * num - int(counts[lo_at]) * den
+        excess, pos = (above, hi_at) if above >= below else (below, lo_at)
+        dev = excess / (n * den)   # int / int rounds correctly
+        if excess > den:
             raise BalanceViolation(n, pos, dev, 1.0 / n)
         rows.append((n, dev, pos))
-        if dev * n > worst[0]:
-            worst = (dev * n, n, pos)
+        if excess > worst[0]:
+            worst = (excess, n, pos)
     _, wn, wpos = worst
     wdev = next(dev for n, dev, _ in rows if n == wn)
     return BalanceReport(w.alphabet.label(s), target, tuple(rows), wn, wpos, wdev)

@@ -1,8 +1,17 @@
-"""Fibonacci and Lucas numbers modulo m: periods, zero sets, residue densities."""
+"""Fibonacci and Lucas numbers modulo m: periods, zero sets, residue densities.
+
+Periods and ranks come from order reduction: Wall (Amer. Math. Monthly 67,
+1960) shows pi(q^k) divides q^(k-1) pi(q), and pi(q) divides q - 1 or
+2(q + 1) for a prime q != 2, 5. Fast doubling tests each divisor in
+O(log m) multiplications, so no period is walked. The only walk left is the
+residue walk behind the densities, done in numpy blocks.
+"""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm, prod
+
+import numpy as np
 
 from .budgets import budget
 from .errors import BudgetError, DomainError
@@ -59,52 +68,268 @@ def lucas_mod(n: int, m: int) -> int:
     return (2 * b - a) % m
 
 
-def pisano_period(m: int) -> int:
-    """Period of the Fibonacci sequence modulo m."""
-    if m < 2:
-        raise DomainError("modulus must be at least 2")
-    a, b, k = 0, 1, 0
-    while True:
-        a, b = b, (a + b) % m
-        k += 1
-        if a == 0 and b == 1:
-            return k
+# ---------------------------------------------------------------------------
+# primality and factoring
 
-
-def restricted_period(m: int) -> int:
-    """Smallest k >= 1 with F(k) divisible by m (the rank of apparition)."""
-    if m < 2:
-        raise DomainError("modulus must be at least 2")
-    a, b, k = 1, 1, 1  # F(1), F(2)
-    while a != 0:
-        a, b = b, (a + b) % m
-        k += 1
-    return k
-
-
-def lucas_zeros(p: int) -> tuple[int, ...]:
-    """Indices i in [0, pisano(p)) with L(i) divisible by p."""
-    period = pisano_period(p)
-    zeros = []
-    a, b = 2 % p, 1 % p  # L(0), L(1)
-    for i in range(period):
-        if a == 0:
-            zeros.append(i)
-        a, b = b, (a + b) % p
-    return tuple(zeros)
+# The first 13 primes. Miller-Rabin to these bases is exact below
+# 3.317e24 (Sorenson and Webster, Math. Comp. 86, 2017); above that it is a
+# strong probable-prime test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_TRIAL_BOUND = 1000
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to the first 13 prime bases."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
+
+
+def _split(n: int) -> int:
+    """A proper factor of an odd composite n, by Pollard-Brent rho.
+
+    The polynomial x^2 + c runs through c = 1, 2, ..., so the factor found
+    depends only on n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) by Newton's method in integers."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorization {q: k} of n >= 1.
+
+    Trial division below _TRIAL_BOUND, then perfect powers are split by
+    integer roots (rho would need ~sqrt(q) steps on q^2) and the rest by
+    Pollard-Brent rho.
+    """
+    factors: dict[int, int] = {}
+    for d in (2, *range(3, _TRIAL_BOUND, 2)):
+        if d * d > n:
+            break
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        if is_prime(n):
+            factors[n] = factors.get(n, 0) + 1
+            continue
+        # every factor left exceeds _TRIAL_BOUND > 2^9, so n = r^k has k <= bits / 9
+        for k in range(n.bit_length() // 9, 1, -1):
+            r = _integer_root(n, k)
+            if r ** k == n:
+                stack += [r] * k
+                break
+        else:
+            d = _split(n)
+            stack += [d, n // d]
+    return factors
+
+
+# ---------------------------------------------------------------------------
+# periods by order reduction
+
+
+def _least_order(n: int, factors: dict[int, int], holds) -> int:
+    """The least divisor d of n = prod q^k with holds(d).
+
+    Needs holds(n), and that the d with holds(d) are exactly the multiples
+    of that least one; then dividing out each prime while holds() stays true
+    ends there.
+    """
+    for q, k in factors.items():
+        for _ in range(k):
+            if not holds(n // q):
+                break
+            n //= q
+    return n
+
+
+def _period_multiple(q: int, k: int) -> tuple[int, dict[int, int]]:
+    """q^(k-1) pi(q) with its factorization, a proven multiple of pi(q^k)."""
+    if q == 2:
+        factors = {3: 1}
+    elif q == 5:
+        factors = {2: 2, 5: 1}
+    else:
+        factors = _factor(q - 1 if q % 5 in (1, 4) else 2 * (q + 1))
+    factors[q] = factors.get(q, 0) + k - 1
+    n = prod(r ** e for r, e in factors.items())
+    m = q ** k
+    if fib_pair_mod(n, m) != (0, 1):
+        raise RuntimeError(f"refusing to continue: {n} is not a period of F mod {m}, "
+                           "which contradicts Wall's theorem")
+    return n, factors
+
+
+def _prime_power_orders(m: int, holds):
+    """The least n with holds(n, q^k) for each prime power q^k || m."""
+    if m < 2:
+        raise DomainError("modulus must be at least 2")
+    for q, k in _factor(m).items():
+        n, factors = _period_multiple(q, k)
+        yield _least_order(n, factors, lambda d: holds(d, q ** k))
+
+
+def pisano_period(m: int) -> int:
+    """Period of the Fibonacci sequence modulo m, the lcm over its prime powers."""
+    return lcm(*_prime_power_orders(m, lambda d, qk: fib_pair_mod(d, qk) == (0, 1)))
+
+
+def restricted_period(m: int) -> int:
+    """Smallest k >= 1 with F(k) divisible by m (the rank of apparition).
+
+    m | F(n) exactly when every prime power of m does, and each rank divides
+    its period, so the rank is the lcm of the prime-power ranks.
+    """
+    return lcm(*_prime_power_orders(m, lambda d, qk: fib_mod(d, qk) == 0))
+
+
+def lucas_zeros(p: int) -> tuple[int, ...]:
+    """Indices i in [0, pisano(p)) with L(i) divisible by the prime p.
+
+    L(n) F(n) = F(2n) and gcd(F(n), L(n)) divides 2, so for odd p the zeros
+    are the n = alpha/2 (mod alpha) when the rank alpha is even, and there
+    are none when it is odd. L(n) is even exactly when 3 | n.
+    """
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    period = pisano_period(p)
+    if p == 2:
+        return tuple(range(0, period, 3))
+    alpha = restricted_period(p)
+    if alpha % 2:
+        return ()
+    return tuple(range(alpha // 2, period, alpha))
+
+
+# ---------------------------------------------------------------------------
+# the residue walk
+
+_BLOCK = 1 << 16
+# A block adds two products of residues below m in uint64, which is exact
+# while 2 (m - 1)^2 < 2^64.
+_NUMPY_MODULUS = isqrt(2 ** 63 - 1)
+
+
+def _shift(f: np.ndarray, g: np.ndarray, a: int, b: int, m: int) -> np.ndarray:
+    """F(s + j) = F(j) F(s + 1) + F(j - 1) F(s) mod m, from F(s) = a, F(s+1) = b."""
+    out = f * b
+    out += g * a
+    out %= m
+    return out
+
+
+def _base_block(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """F(j) and F(j - 1) mod m for j = 0..size + 1, built by doubling."""
+    f = np.array([0, 1], dtype=np.uint64)
+    while len(f) < size + 2:
+        a = (int(f[-1]) + int(f[-2])) % m        # F(L) for L = len(f)
+        f = np.concatenate((f, _shift(f, _previous(f), a, (a + int(f[-1])) % m, m)))
+    f = f[:size + 2]
+    return f, _previous(f)
+
+
+def _previous(f: np.ndarray) -> np.ndarray:
+    """F(j - 1) from F(j), j = 0, 1, ...: shift right and put F(-1) = 1 first."""
+    g = np.roll(f, 1)
+    g[0] = 1
+    return g
+
+
+def _fib_blocks(m: int, start: int, steps: int):
+    """Yield F(start), ..., F(start + steps - 1) mod m in int64 blocks, m >= 2.
+
+    A block is at most min(_BLOCK, m) values long, so a caller that stops at
+    the first return to (0, 1) walks little past it. Moduli above
+    _NUMPY_MODULUS are walked one step at a time in Python ints.
+    """
+    a, b = fib_pair_mod(start, m)
+    size = min(_BLOCK, m, steps)
+    if m > _NUMPY_MODULUS:
+        while steps > 0:
+            out = []
+            for _ in range(min(steps, size)):
+                out.append(a)
+                a, b = b, (a + b) % m
+            steps -= len(out)
+            yield np.array(out, dtype=np.int64 if m <= 2 ** 63 else object)
+        return
+    f, g = _base_block(m, size)
+    while steps > 0:
+        n = min(steps, size)
+        yield _shift(f[:n], g[:n], a, b, m).view(np.int64)   # indexes faster than uint64
+        a, b = ((int(f[n]) * b + int(g[n]) * a) % m,
+                (int(f[n + 1]) * b + int(f[n]) * a) % m)
+        steps -= n
+
+
+def _residues(m: int, segments: list[tuple[int, int]]) -> np.ndarray:
+    """Sorted distinct F(i) mod m over the index ranges (start, steps).
+
+    A bitmap of m cells when that is no larger than the values themselves
+    would take, else the sorted values.
+    """
+    steps = sum(n for _, n in segments)
+    if m <= 8 * steps:
+        seen = np.zeros(m, dtype=bool)
+        for start, n in segments:
+            for block in _fib_blocks(m, start, n):
+                seen[block] = True
+        return np.flatnonzero(seen)
+    parts = [np.unique(block) for start, n in segments for block in _fib_blocks(m, start, n)]
+    return np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -134,15 +359,13 @@ def prime_context(p: int) -> PrimeContext:
             "it is built on"
         )
     eps = 1 if p % 5 in (1, 4) else -1
-    target = fib(p - eps)
-    if target % p != 0:
+    if fib_mod(p - eps, p) != 0:
         raise RuntimeError(
             f"refusing to continue: p={p} does not divide F(p - {eps:+d}), "
             "which contradicts the defining property of eps"
         )
-    e = 0
-    while target % p == 0:
-        target //= p
+    e = 1
+    while fib_mod(p - eps, p ** (e + 1)) == 0:
         e += 1
     return PrimeContext(
         prime=p,
@@ -174,36 +397,35 @@ class DensityResult:
 def density_formula(p: int) -> DensityResult:
     """Exact limiting density N/p^e + Z/(2 p^(2e-1) (p+1)).
 
-    One pass over a full Pisano period splits the indices by L(i) mod p:
-    non-zero indices contribute their residue F(i) mod p^e to the set behind
-    N, and Lucas-zero indices count toward Z only when their residue falls
-    outside that set.
+    N counts the residues F(i) mod p^e over one Pisano period at the indices
+    with L(i) != 0 mod p; one walk over the gaps between the (at most four)
+    Lucas zeros collects them. Z counts the Lucas-zero indices whose residue
+    falls outside that set, each read off by fast doubling.
     """
     ctx = prime_context(p)
     pe = p ** ctx.e
-    fa, fb = 0, 1 % pe           # F(i), F(i+1) mod p^e
-    la, lb = 2 % p, 1 % p        # L(i), L(i+1) mod p
-    nonzero: set[int] = set()
-    zero_entries: list[int] = []
-    for _ in range(ctx.pisano):
-        if la == 0:
-            zero_entries.append(fa)
-        else:
-            nonzero.add(fa)
-        fa, fb = fb, (fa + fb) % pe
-        la, lb = lb, (la + lb) % p
-    outside = [r for r in zero_entries if r not in nonzero]
+    zeros = ctx.lucas_zero_indices
+    steps, limit = ctx.pisano - len(zeros), budget("PERIOD_STEPS")
+    if steps > limit:
+        raise BudgetError(f"the residue walk mod {p}^{ctx.e} needs {steps} steps, "
+                          f"over the period-step budget {limit}")
+    edges = (-1, *zeros, ctx.pisano)
+    nonzero = _residues(pe, [(lo + 1, hi - lo - 1) for lo, hi in zip(edges, edges[1:])])
+    zero_entries = [fib_mod(i, pe) for i in zeros]
+    at = np.searchsorted(nonzero, zero_entries)
+    outside = [r for r, j in zip(zero_entries, at)
+               if j == len(nonzero) or nonzero[j] != r]
     z = len(outside)
-    shared = len(set(outside)) < z
-    density = Fraction(len(nonzero), pe) + Fraction(z, 2 * p ** (2 * ctx.e - 1) * (p + 1))
+    n_count = len(nonzero)
+    density = Fraction(n_count, pe) + Fraction(z, 2 * p ** (2 * ctx.e - 1) * (p + 1))
     return DensityResult(
         context=ctx,
-        nonzero_residues=tuple(sorted(nonzero)),
+        nonzero_residues=tuple(nonzero.tolist()),
         outside_zero_residues=tuple(sorted(set(outside))),
-        n_count=len(nonzero),
+        n_count=n_count,
         z_count=z,
         density=density,
-        shared_outside_residue=shared,
+        shared_outside_residue=len(set(outside)) < z,
     )
 
 
@@ -211,8 +433,9 @@ def residue_density_bruteforce(p: int, lam: int,
                                modulus_limit: int | None = None) -> Fraction:
     """|{F(n) mod p^lam}| / p^lam by walking one full period.
 
-    Exact and formula-free, which is what makes it a useful cross-check; the
-    budget guards against runaway moduli.
+    Exact and formula-free, which is what makes it a useful cross-check: the
+    walk finds the period itself, as the first return to (0, 1). The modulus
+    budget bounds the bitmap and the period-step budget the walk.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -224,14 +447,20 @@ def residue_density_bruteforce(p: int, lam: int,
     limit = budget("MODULUS_LIMIT") if modulus_limit is None else modulus_limit
     if modulus > limit:
         raise BudgetError(f"p^lambda = {modulus} exceeds the modulus budget {limit}")
-    seen = bytearray(modulus)
-    a, b = 0, 1 % modulus
-    while True:
-        seen[a] = 1
-        a, b = b, (a + b) % modulus
-        if a == 0 and b == 1 % modulus:
-            break
-    return Fraction(sum(seen), modulus)
+    steps = budget("PERIOD_STEPS")
+    seen = np.zeros(modulus, dtype=bool)
+    start, prev = 0, None
+    for block in _fib_blocks(modulus, 0, steps):
+        # (F(t), F(t+1)) = (0, 1) exactly when F(t) = 0 and F(t-1) = 1
+        for j in np.flatnonzero(block == 0).tolist():
+            before = block[j - 1] if j else prev
+            if start + j > 0 and before == 1:
+                seen[block[:j]] = True
+                return Fraction(int(np.count_nonzero(seen)), modulus)
+        seen[block] = True
+        start, prev = start + len(block), block[-1]
+    raise BudgetError(f"F mod {modulus} did not return to (0, 1) within "
+                      f"the period-step budget of {steps} steps")
 
 
 def bruteforce_trace(p: int, lam_max: int,

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from fibword import cli
+from fibword import cli, fib_pair_mod
 
 SCHEMA = json.loads(
     resources.files("fibword").joinpath("schemas/cli_output.schema.json").read_text()
@@ -315,6 +315,43 @@ def test_budget_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "densbrute", "--prime", "19", "--max-level", "3")
     assert code == 2
     assert json.loads(err)["kind"] == "resource"
+
+
+def test_period_step_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "1000")
+    code, out, err = run(capsys, "density", "--prime", "10007")
+    assert code == 2
+    error = json.loads(err)
+    assert error["kind"] == "resource" and "1000" in error["error"]
+
+
+def test_pisano_of_a_large_prime(capsys):
+    # 10^9 + 7 = 2 mod 5, so the period divides 2(p + 1); no walk is made
+    code, payload = run_json(capsys, "pisano", "1000000007")
+    period = payload["period"]
+    assert code == 0 and period == 2_000_000_016
+    m = 1_000_000_007
+    assert fib_pair_mod(period, m) == (0, 1)
+    primes, rest, q = [], period, 2    # the primes q | period, by trial division
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    primes += [rest] if rest > 1 else []
+    assert all(fib_pair_mod(period // q, m) != (0, 1) for q in primes)
+
+
+def test_density_of_a_large_prime(capsys):
+    code, payload = run_json(capsys, "density", "--prime", "10000019")
+    assert code == 0
+    assert (payload["eps"], payload["e"]) == (1, 1)
+    assert payload["pisano"] == payload["restricted"] == 10_000_018
+    assert payload["lucas_zeros"] == [5_000_009]
+    assert (payload["N"], payload["Z"]) == (6_250_011, 1)
+    assert payload["dens"] == "125000470000441/200000780000760"
+    assert payload["shared_outside_residue"] is False
 
 
 def test_missing_word_source_is_usage_error(capsys):

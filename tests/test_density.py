@@ -23,6 +23,7 @@ from fibword import (
     mbonacci_morphism,
     perron_eigenvalue,
     symbol_frequency,
+    thue_morse_morphism,
     tribonacci_morphism,
     window_frequency_sup,
 )
@@ -79,6 +80,26 @@ def test_balance_check_flags_unbalanced_words():
     assert err.bound == pytest.approx(0.1)
 
 
+def test_balance_check_is_exact_at_the_bound():
+    """On Thue-Morse some windows sit exactly on |count - n/2| = 1.
+
+    In floats, 0.5 - 2/6 rounds one ulp above 1/6, which used to raise a
+    false BalanceViolation at n = 6.
+    """
+    w = fixed_point_prefix(thue_morse_morphism(), "0", 10_000)
+    report = balance_check(w, "0", 0.5, range(1, 201))
+    assert report.within_bound()
+    assert [n for n, _, _ in report.rows] == list(range(1, 201))
+    data = w.data
+    for n, dev, pos in report.rows:
+        count = data[pos : pos + n].count(0)
+        assert dev == float(abs(Fraction(count, n) - Fraction(1, 2)))   # correctly rounded
+        assert dev <= 1.0 / n
+    assert any(dev == 1.0 / n for n, dev, _ in report.rows if n % 2 == 0)
+    with pytest.raises(BalanceViolation):
+        balance_check(w, "0", 0.5 + 2.0 ** -40, range(1, 201))
+
+
 def test_balance_check_argument_validation():
     w = Word.from_string("abab", binary_alphabet())
     with pytest.raises(DomainError):
@@ -87,6 +108,8 @@ def test_balance_check_argument_validation():
         balance_check(w, "a", 0.5, [0])
     with pytest.raises(DomainError):
         balance_check(w, "a", 0.5, [5])
+    with pytest.raises(DomainError):
+        balance_check(w, "a", float("nan"), [2])
 
 
 def test_golden_density_ratios():

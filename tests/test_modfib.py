@@ -1,20 +1,27 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import (
     BudgetError,
+    DensityResult,
     DomainError,
+    PrimeContext,
     bruteforce_trace,
     density_formula,
     fib,
     fib_mod,
     fib_pair,
+    fib_pair_mod,
     is_prime,
     lucas,
     lucas_mod,
     lucas_zeros,
+    modfib,
     pisano_period,
     prime_context,
     residue_density_bruteforce,
@@ -27,6 +34,99 @@ def fib_iterative(n):
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+# ---------------------------------------------------------------------------
+# oracles: the period walks and the trial division the library used to run
+
+
+def pisano_walk(m):
+    """First return of (F(k), F(k+1)) mod m to (0, 1)."""
+    a, b, k = 0, 1, 0
+    while True:
+        a, b = b, (a + b) % m
+        k += 1
+        if a == 0 and b == 1:
+            return k
+
+
+def rank_walk(m):
+    """First k >= 1 with F(k) = 0 mod m."""
+    a, b, k = 1, 1, 1  # F(1), F(2)
+    while a != 0:
+        a, b = b, (a + b) % m
+        k += 1
+    return k
+
+
+def lucas_zeros_walk(p):
+    """The i in one Pisano period with L(i) = 0 mod p."""
+    zeros = []
+    a, b = 2 % p, 1 % p  # L(0), L(1)
+    for i in range(pisano_walk(p)):
+        if a == 0:
+            zeros.append(i)
+        a, b = b, (a + b) % p
+    return tuple(zeros)
+
+
+def is_prime_trial(n):
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def valuation_of_f(p, eps):
+    """The largest e with p^e | F(p - eps), from residues mod p^k."""
+    e = 0
+    while fib_mod(p - eps, p ** (e + 1)) == 0:
+        e += 1
+    return e
+
+
+def density_walk(p, e=None):
+    """density_formula by one set-based pass over a walked Pisano period.
+
+    e defaults to the valuation read off the exact F(p - eps); pass it for
+    primes too large for that.
+    """
+    eps = 1 if p % 5 in (1, 4) else -1
+    if e is None:
+        target, e = fib(p - eps), 0
+        while target % p == 0:
+            target //= p
+            e += 1
+    period, pe = pisano_walk(p), p ** e
+    fa, fb = 0, 1 % pe           # F(i), F(i+1) mod p^e
+    la, lb = 2 % p, 1 % p        # L(i), L(i+1) mod p
+    nonzero, zeros, zero_entries = set(), [], []
+    for i in range(period):
+        if la == 0:
+            zeros.append(i)
+            zero_entries.append(fa)
+        else:
+            nonzero.add(fa)
+        fa, fb = fb, (fa + fb) % pe
+        la, lb = lb, (la + lb) % p
+    ctx = PrimeContext(p, eps, e, period, rank_walk(p), tuple(zeros))
+    outside = [r for r in zero_entries if r not in nonzero]
+    z = len(outside)
+    return DensityResult(
+        context=ctx,
+        nonzero_residues=tuple(sorted(nonzero)),
+        outside_zero_residues=tuple(sorted(set(outside))),
+        n_count=len(nonzero),
+        z_count=z,
+        density=Fraction(len(nonzero), pe) + Fraction(z, 2 * p ** (2 * e - 1) * (p + 1)),
+        shared_outside_residue=len(set(outside)) < z,
+    )
+
+
+PRIMES_BELOW_3000 = [p for p in range(3000) if is_prime_trial(p)]
 
 
 def test_fib_matches_iteration():
@@ -235,3 +335,126 @@ def test_bruteforce_rejects_bad_input():
         residue_density_bruteforce(12, 1)
     with pytest.raises(DomainError):
         bruteforce_trace(19, -1)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against the walk oracles
+
+
+def test_periods_match_walks_below_3000():
+    for m in range(2, 3000):
+        assert pisano_period(m) == pisano_walk(m), m
+        assert restricted_period(m) == rank_walk(m), m
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 10 ** 6))
+def test_periods_match_walks_property(m):
+    assert pisano_period(m) == pisano_walk(m)
+    assert restricted_period(m) == rank_walk(m)
+
+
+def test_lucas_zeros_and_density_match_walks_for_primes_below_3000():
+    for p in PRIMES_BELOW_3000:
+        if p in (2, 5):
+            assert lucas_zeros(p) == lucas_zeros_walk(p)
+        else:
+            want = density_walk(p)   # its context holds the walked Lucas zeros
+            assert lucas_zeros(p) == want.context.lucas_zero_indices, p
+            assert density_formula(p) == want, p
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([p for p in PRIMES_BELOW_3000 if p not in (2, 5)]))
+def test_scalar_walk_matches_numpy_walk(p):
+    """Moduli too large for uint64 blocks take the scalar walk; force it here."""
+    want = density_formula(p), residue_density_bruteforce(p, 1)
+    original = modfib._NUMPY_MODULUS
+    modfib._NUMPY_MODULUS = 1
+    try:
+        assert (density_formula(p), residue_density_bruteforce(p, 1)) == want
+    finally:
+        modfib._NUMPY_MODULUS = original
+
+
+@pytest.mark.parametrize("p,lam", [(2, 5), (3, 4), (7, 3), (19, 2), (101, 2), (211, 2)])
+def test_bruteforce_matches_walk(p, lam):
+    m = p ** lam
+    seen, a, b = set(), 0, 1
+    for _ in range(pisano_walk(m)):
+        seen.add(a)
+        a, b = b, (a + b) % m
+    assert residue_density_bruteforce(p, lam) == Fraction(len(seen), m)
+
+
+# Fibonacci primes F(47), F(83), F(131) and Lucas primes L(41), L(47), L(113):
+# huge p with short periods. Their residue sets are sparse in p, the last
+# four exceed the uint64 block bound, and F(131) and L(113) exceed 2^63.
+SHORT_PERIOD_PRIMES = [fib(47), fib(83), fib(131), lucas(41), lucas(47), lucas(113)]
+
+
+@pytest.mark.parametrize("p", SHORT_PERIOD_PRIMES)
+def test_density_for_huge_primes_with_short_periods(p):
+    assert is_prime(p)
+    eps = 1 if p % 5 in (1, 4) else -1
+    assert density_formula(p) == density_walk(p, e=valuation_of_f(p, eps))
+
+
+def test_is_prime_matches_trial_division():
+    assert [is_prime(n) for n in range(20_001)] == [is_prime_trial(n) for n in range(20_001)]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10 ** 10))
+def test_is_prime_property(n):
+    assert is_prime(n) == is_prime_trial(n)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,            # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,   # strong pseudoprime to every prime base up to 31
+    318665857834031151167461,  # to every one up to 37; base 41 rejects it
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,  # Carmichael numbers
+    (2 ** 31 - 1) * (2 ** 61 - 1),
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 9 + 7, 10 ** 18 + 9):
+        assert is_prime(p)
+
+
+def test_periods_of_large_composites():
+    """Prime squares, a semiprime and 2^64 need the rho and root factoring."""
+    for m in ((10 ** 9 + 7) ** 2, (10 ** 9 + 7) * (10 ** 9 + 9), 2 ** 64, 10 ** 12):
+        period, alpha = pisano_period(m), restricted_period(m)
+        assert fib_pair_mod(period, m) == (0, 1)
+        assert period % alpha == 0 and fib_mod(alpha, m) == 0
+    assert pisano_period(2 ** 64) == 3 * 2 ** 63
+    assert pisano_period(10 ** 12) == 1_500_000_000_000
+    assert restricted_period(10 ** 12) == 750_000_000_000
+
+
+def test_lucas_zeros_rejects_composites():
+    for n in (0, 1, 4, 9, 91):
+        with pytest.raises(DomainError):
+            lucas_zeros(n)
+    assert lucas_zeros(2) == (0,)   # L(n) is even exactly when 3 | n
+    assert lucas_zeros(5) == ()
+
+
+def test_density_walk_budget(monkeypatch):
+    monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "1000")
+    # pi(10007) = 20016 steps, less the two Lucas zeros
+    with pytest.raises(BudgetError, match=r"needs 20014 steps.*budget 1000"):
+        density_formula(10007)
+    assert density_formula(19).n_count == 11
+
+
+def test_bruteforce_walk_budget(monkeypatch):
+    monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "300")
+    with pytest.raises(BudgetError, match="300 steps"):
+        residue_density_bruteforce(19, 2)   # the period mod 361 is 342
+    assert residue_density_bruteforce(19, 1) == Fraction(12, 19)
