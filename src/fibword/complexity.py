@@ -134,12 +134,7 @@ def is_sturmian_profile(profile: ComplexityProfile, n_max: int | None = None) ->
 def is_square_free(w: Word) -> bool:
     """True when w contains no factor of the shape uu with u nonempty."""
     data = w.data
-    L = len(data)
-    for h in range(1, L // 2 + 1):
-        for i in range(L - 2 * h + 1):
-            if data[i : i + h] == data[i + h : i + 2 * h]:
-                return False
-    return True
+    return all(_no_new_square(data[:j]) for j in range(2, len(data) + 1))
 
 
 def _no_new_square(w: bytearray) -> bool:
@@ -152,12 +147,19 @@ def _no_new_square(w: bytearray) -> bool:
     return True
 
 
-def _subtree_counts(k: int, n_max: int, prefix: bytes, node_budget: int) -> list[int]:
-    """Count square-free extensions of a prefix, by absolute length."""
+def _subtree_counts(k: int, n_max: int, prefix: bytes, node_budget: int,
+                    found: list[bytes] | None = None) -> list[int]:
+    """Count square-free extensions of a prefix, by absolute length.
+
+    When found is a list, each square-free word met (the prefix included, if
+    nonempty) is appended to it in depth-first order.
+    """
     counts = [0] * (n_max + 1)
     w = bytearray(prefix)
     if w:
         counts[len(w)] += 1
+        if found is not None:
+            found.append(bytes(w))
     nodes = 0
 
     def rec() -> None:
@@ -168,11 +170,13 @@ def _subtree_counts(k: int, n_max: int, prefix: bytes, node_budget: int) -> list
             nodes += 1
             if nodes > node_budget:
                 raise BudgetError(
-                    f"square-free census exceeded its node budget of {node_budget}"
+                    f"square-free walk exceeded its node budget of {node_budget}"
                 )
             w.append(c)
             if _no_new_square(w):
                 counts[len(w)] += 1
+                if found is not None:
+                    found.append(bytes(w))
                 rec()
             w.pop()
 
@@ -250,38 +254,25 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
     return SquareFreeCensus(alphabet_size, tuple(counts), terminated)
 
 
-def _enumerate_square_free(k: int, n_max: int):
-    """Yield every square-free word over 0..k-1 of length 1..n_max, as bytearrays."""
-    w = bytearray()
-
-    def rec():
-        if len(w) == n_max:
-            return
-        for c in range(k):
-            w.append(c)
-            if _no_new_square(w):
-                yield w
-                yield from rec()
-            w.pop()
-
-    yield from rec()
-
-
-def count_square_free(alphabet_size: int, n: int, workers: int = 1,
+def count_square_free(alphabet_size: int, n: int, *,
                       node_budget: int | None = None) -> int:
     """Number of square-free words of length exactly n over the given alphabet.
 
-    workers and node_budget are passed to square_free_census.
+    node_budget is passed to square_free_census.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    census = square_free_census(alphabet_size, n, workers, node_budget)
+    census = square_free_census(alphabet_size, n, node_budget=node_budget)
     return census.counts[n] if n < len(census.counts) else 0
 
 
 def square_free_words(alphabet_size: int, max_len: int | None = None,
                       alphabet: Alphabet | None = None) -> list[Word]:
-    """All square-free words up to max_len (unbounded only for <= 2 letters)."""
+    """All square-free words up to max_len (unbounded only for <= 2 letters).
+
+    The walk covers the whole tree of words, under the FIBWORD_CENSUS_NODES
+    node budget.
+    """
     if alphabet is None:
         alphabet = Alphabet("abcdefghijklmnopqrstuvwxyz"[:alphabet_size])
     elif len(alphabet) != alphabet_size:
@@ -290,8 +281,11 @@ def square_free_words(alphabet_size: int, max_len: int | None = None,
         if alphabet_size > 2:
             raise DomainError("a bound is required on 3+ letters")
         max_len = 4
-    return [Word.from_indices(alphabet, bytes(p))
-            for p in _enumerate_square_free(alphabet_size, max_len)]
+    if max_len < 0:
+        raise DomainError("max_len must be nonnegative")
+    found: list[bytes] = []
+    _subtree_counts(alphabet_size, max_len, b"", budget("CENSUS_NODES"), found)
+    return [Word.from_indices(alphabet, p) for p in found]
 
 
 # ---------------------------------------------------------------------------
@@ -366,35 +360,10 @@ def scattered_palindrome_count(w: Word) -> int:
     same palindrome. Interval recurrence over exact integers; the count can
     reach 2^(|w|/2), hence the length budget.
     """
-    data = w.data
-    L = len(data)
+    L = len(w)
     if L > budget("SP_TOTAL_MAXLEN"):
         raise BudgetError(f"word length {L} exceeds the scattered palindrome budget")
-    if L == 0:
-        return 0
-    nxt, prv = _occurrence_tables(data)
-    # dp[i][j] = count on the slice data[i..j]; cells with i > j stay 0
-    dp = [[0] * L for _ in range(L)]
-    for i in range(L):
-        dp[i][i] = 1
-    for span in range(2, L + 1):
-        for i in range(L - span + 1):
-            j = i + span - 1
-            inner = dp[i + 1][j - 1]
-            if data[i] != data[j]:
-                dp[i][j] = dp[i + 1][j] + dp[i][j - 1] - inner
-            else:
-                # lo/hi: first/last occurrence of the shared letter strictly
-                # inside (i, j); since data[i] == data[j], lo > hi iff none
-                lo = nxt[i + 1][data[i]]
-                hi = prv[j - 1][data[j]]
-                if lo > hi:
-                    dp[i][j] = 2 * inner + 2   # adds c and cc
-                elif lo == hi:
-                    dp[i][j] = 2 * inner + 1   # c already counted inside
-                else:
-                    dp[i][j] = 2 * inner - dp[lo + 1][hi - 1]
-    return dp[0][L - 1]
+    return _scattered_dp(w.data, 1)
 
 
 def scattered_palindromes_by_length(w: Word) -> list[int]:
@@ -403,67 +372,58 @@ def scattered_palindromes_by_length(w: Word) -> list[int]:
     Returns counts where counts[t - 1] is the number of distinct palindromic
     subsequences of length t; the sum equals scattered_palindrome_count(w).
     """
-    data = w.data
-    L = len(data)
+    L = len(w)
     if L > budget("SP_LENGTH_MAXLEN"):
         raise BudgetError(f"word length {L} exceeds the per-length palindrome budget")
-    if L == 0:
-        return []
-    nxt, prv = _occurrence_tables(data)
-    zero = [0] * (L + 1)
-    dp: list[list[list[int] | None]] = [[None] * L for _ in range(L)]
-    for i in range(L):
-        v = [0] * (L + 1)
-        v[1] = 1
-        dp[i][i] = v
-    for span in range(2, L + 1):
-        for i in range(L - span + 1):
-            j = i + span - 1
-            inner = dp[i + 1][j - 1] if span > 2 else zero
-            v = [0] * (L + 1)
-            if data[i] != data[j]:
-                a, b = dp[i + 1][j], dp[i][j - 1]
-                for t in range(1, span + 1):
-                    v[t] = a[t] + b[t] - inner[t]
-            else:
-                # same split as the total count: unwrapped + wrapped (+2 to
-                # the length) with the usual duplicate correction
-                lo = nxt[i + 1][data[i]]
-                hi = prv[j - 1][data[j]]
-                for t in range(1, span + 1):
-                    v[t] = inner[t] + (inner[t - 2] if t >= 2 else 0)
-                if lo > hi:
-                    v[1] += 1
-                    v[2] += 1
-                elif lo == hi:
-                    v[2] += 1
-                else:
-                    dup = dp[lo + 1][hi - 1] if lo + 1 <= hi - 1 else zero
-                    for t in range(3, span + 1):
-                        v[t] -= dup[t - 2]
-            dp[i][j] = v
-    full = dp[0][L - 1]
-    out = full[1:]
-    while out and out[-1] == 0:
-        out.pop()
+    # Each count of one length t is at most C(L, t) < 2^L distinct
+    # subsequences, so L-bit fields never carry into the next length.
+    packed = _scattered_dp(w.data, 1 << L) >> L   # no palindrome has length 0
+    mask = (1 << L) - 1
+    out = []
+    while packed:
+        out.append(packed & mask)
+        packed >>= L
     return out
 
 
-def _occurrence_tables(data: bytes):
-    """nxt[i][c]: first index >= i holding c (len(data) if none); prv[j][c] mirrors."""
+def _scattered_dp(data: bytes, x: int) -> int:
+    """Distinct nonempty palindromic subsequences of data, as a polynomial at x.
+
+    The coefficient of x^t counts the palindromes of length t, so x = 1 gives
+    the total and x = 2^B packs the per-length counts into B-bit fields.
+    Wrapping a palindrome in c...c multiplies it by x^2.
+    """
     L = len(data)
-    sigma = max(data) + 1
-    nxt: list[list[int]] = [None] * (L + 1)  # type: ignore[list-item]
-    row = [L] * sigma
-    nxt[L] = row
+    if L == 0:
+        return 0
+    prev_same = [-1] * L   # prev_same[j]: last index before j holding data[j]
+    last: dict[int, int] = {}
+    for j, c in enumerate(data):
+        prev_same[j] = last.get(c, -1)
+        last[c] = j
+    first_after: dict[int, int] = {}   # letter -> first index after i holding it
+    x2 = x * x
+    wrap = 1 + x2          # each inner palindrome, bare and wrapped
+    # dp[i][j] = value on the slice data[i..j]; cells with i > j, and the
+    # extra row L, stay 0
+    dp = [[0] * L for _ in range(L + 1)]
     for i in range(L - 1, -1, -1):
-        row = row[:]
-        row[data[i]] = i
-        nxt[i] = row
-    prv: list[list[int]] = [None] * L  # type: ignore[list-item]
-    row = [-1] * sigma
-    for i in range(L):
-        row = row[:]
-        row[data[i]] = i
-        prv[i] = row
-    return nxt, prv
+        c = data[i]
+        lo = first_after.get(c, L)
+        first_after[c] = i
+        row, below = dp[i], dp[i + 1]
+        row[i] = x
+        for j in range(i + 1, L):
+            inner = below[j - 1]
+            if data[j] != c:
+                row[j] = below[j] + row[j - 1] - inner
+            else:
+                # lo/hi: first/last c strictly inside (i, j); lo > hi iff none
+                hi = prev_same[j]
+                if lo > hi:
+                    row[j] = inner * wrap + x + x2   # adds c and cc
+                elif lo == hi:
+                    row[j] = inner * wrap + x2       # c already counted inside
+                else:
+                    row[j] = inner * wrap - dp[lo + 1][hi - 1] * x2
+    return dp[0][L - 1]

@@ -18,19 +18,21 @@ def symbol_frequency(w: Word, symbol: "int | str") -> Fraction:
     return Fraction(w.count(symbol), len(w))
 
 
+def _occurrence_prefix(data: bytes, s: int) -> np.ndarray:
+    """prefix[i] = occurrences of letter s in data[:i].
+
+    The length-n windows hold prefix[n:] - prefix[:-n] occurrences, by start.
+    """
+    occ = np.frombuffer(data, dtype=np.uint8) == s
+    return np.concatenate([[0], np.cumsum(occ, dtype=np.int64)])
+
+
 def window_frequency_sup(w: Word, symbol: "int | str", n: int) -> Fraction:
     """Largest frequency of the symbol over all length-n windows of w."""
     if not 1 <= n <= len(w):
         raise DomainError(f"window length must be in 1..{len(w)}, got {n}")
-    s = w.alphabet.as_index(symbol)
-    data = w.data
-    count = data[:n].count(s)
-    best = count
-    for i in range(n, len(data)):
-        count += (data[i] == s) - (data[i - n] == s)
-        if count > best:
-            best = count
-    return Fraction(best, n)
+    prefix = _occurrence_prefix(w.data, w.alphabet.as_index(symbol))
+    return Fraction(int((prefix[n:] - prefix[:-n]).max()), n)
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,7 @@ def balance_check(w: Word, symbol: "int | str", target: float,
         raise DomainError(f"window lengths must lie in 1..{len(w)}")
     if not math.isfinite(target):
         raise DomainError(f"target must be a finite number, got {target}")
-    occ = (np.frombuffer(w.data, dtype=np.uint8) == s).astype(np.int64)
-    prefix = np.concatenate([[0], np.cumsum(occ)])
+    prefix = _occurrence_prefix(w.data, s)
     num, den = float(target).as_integer_ratio()
     rows = []
     worst = (-1, 0, 0)  # (den * |count - n * target|, n, position)

@@ -317,6 +317,14 @@ def test_budget_error_exit_code(capsys, monkeypatch):
     assert json.loads(err)["kind"] == "resource"
 
 
+def test_square_free_listing_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "1000")
+    code, out, err = run(capsys, "squarefree", "--list", "--alphabet-size", "3",
+                         "--n-max", "30", "--format", "json")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "resource"
+
+
 def test_period_step_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "1000")
     code, out, err = run(capsys, "density", "--prime", "10007")

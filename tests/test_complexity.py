@@ -251,6 +251,24 @@ def test_binary_census_terminates():
     assert listing == ["a", "ab", "aba", "b", "ba", "bab"]
 
 
+@pytest.mark.parametrize("k, max_len", [(3, 7), (4, 5)])
+def test_square_free_listing_matches_exhaustive_filter(k, max_len):
+    listing = [w.data for w in square_free_words(k, max_len)]
+    filtered = [bytes(t) for n in range(1, max_len + 1)
+                for t in itertools.product(range(k), repeat=n) if not has_square(t)]
+    assert sorted(listing) == sorted(filtered)
+    assert square_free_words(k, 0) == []
+    with pytest.raises(DomainError):
+        square_free_words(k, -1)
+
+
+def test_square_free_listing_node_budget(monkeypatch):
+    # the listing walks the full tree of words under the census budget
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "1000")
+    with pytest.raises(BudgetError):
+        square_free_words(3, 30)
+
+
 def test_census_node_budget():
     with pytest.raises(BudgetError):
         square_free_census(3, 25, node_budget=100)
@@ -271,6 +289,14 @@ def test_count_square_free_single_lengths():
     assert count_square_free(3, 5) == 30
     assert count_square_free(2, 7) == 0
     assert count_square_free(3, 0) == 1
+
+
+def test_count_square_free_budget_is_keyword_only():
+    with pytest.raises(BudgetError):
+        count_square_free(3, 24, node_budget=1000)
+    # a third positional argument is never read as a budget
+    with pytest.raises(TypeError):
+        count_square_free(3, 24, 1000)
 
 
 def test_growth_estimate():
@@ -342,13 +368,56 @@ def palindromic_factors_oracle(data):
 
 
 def scattered_oracle(data):
-    found = set()
+    """Distinct palindromic subsequences by length, from every index set."""
+    by_length = []
     for r in range(1, len(data) + 1):
+        found = set()
         for idxs in itertools.combinations(range(len(data)), r):
             sub = tuple(data[i] for i in idxs)
             if sub == sub[::-1]:
                 found.add(sub)
-    return len(found)
+        by_length.append(len(found))
+    while by_length and by_length[-1] == 0:
+        by_length.pop()
+    return by_length
+
+
+def scattered_by_length_lists(data):
+    """The interval recurrence over one list of per-length counts per cell."""
+    L = len(data)
+    if L == 0:
+        return []
+    zero = [0] * (L + 1)
+    dp = [[zero] * L for _ in range(L + 1)]   # cells with i > j stay zero
+    for i in range(L):
+        dp[i][i] = [0, 1] + [0] * (L - 1)
+    for span in range(2, L + 1):
+        for i in range(L - span + 1):
+            j = i + span - 1
+            inner = dp[i + 1][j - 1]
+            if data[i] != data[j]:
+                a, b = dp[i + 1][j], dp[i][j - 1]
+                v = [a[t] + b[t] - inner[t] for t in range(L + 1)]
+            else:
+                # each inner palindrome, bare and wrapped in c...c (+2 to the
+                # length); the wraps of palindromes lying between the first
+                # and the last inner c were already counted inside
+                inside = [k for k in range(i + 1, j) if data[k] == data[i]]
+                v = [inner[t] + (inner[t - 2] if t >= 2 else 0) for t in range(L + 1)]
+                if not inside:
+                    v[1] += 1
+                    v[2] += 1
+                elif len(inside) == 1:
+                    v[2] += 1
+                else:
+                    dup = dp[inside[0] + 1][inside[-1] - 1]
+                    for t in range(3, L + 1):
+                        v[t] -= dup[t - 2]
+            dp[i][j] = v
+    out = dp[0][L - 1][1:]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def test_palindrome_counts_small_examples():
@@ -368,7 +437,7 @@ def test_palindrome_counts_match_oracles():
         k = rng.choice((2, 3))
         w = random_word(rng, k, rng.randrange(0, 11))
         assert palindromic_factor_count(w) == palindromic_factors_oracle(w.data)
-        assert scattered_palindrome_count(w) == scattered_oracle(w.data)
+        assert scattered_palindrome_count(w) == sum(scattered_oracle(w.data))
 
 
 def test_scattered_by_length_sums_to_total():
@@ -384,6 +453,42 @@ def test_scattered_by_length_sums_to_total():
 def test_scattered_by_length_values():
     w = Word.from_string("abaab", ternary_alphabet())
     assert scattered_palindromes_by_length(w) == [2, 2, 3, 1]
+
+
+def test_scattered_by_length_matches_oracle():
+    rng = random.Random(21)
+    for _ in range(150):
+        k = rng.choice((1, 2, 3))
+        data = bytes(rng.randrange(k) for _ in range(rng.randrange(0, 13)))
+        w = Word.from_indices(ternary_alphabet(), data)
+        assert scattered_palindromes_by_length(w) == scattered_oracle(data)
+
+
+def budget_edge_words():
+    rng = random.Random(22)
+    return {
+        "unary": bytes(64),
+        "fibonacci": fixed_point_prefix(fibonacci_morphism(), "a", 64).data,
+        "binary": bytes(rng.randrange(2) for _ in range(64)),
+        "ternary": bytes(rng.randrange(3) for _ in range(64)),
+    }
+
+
+@pytest.mark.parametrize("name", ("unary", "fibonacci", "binary", "ternary"))
+def test_scattered_by_length_at_the_budget_edge(name):
+    # at L = 64 the largest per-length counts of the last three words take
+    # 17 to 20 bits, so fields narrower than that would carry from one
+    # length into the next
+    data = budget_edge_words()[name]
+    w = Word.from_indices(ternary_alphabet(), data)
+    assert scattered_palindromes_by_length(w) == scattered_by_length_lists(data)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 2), max_size=64))
+def test_scattered_total_is_sum_of_lengths(letters):
+    w = Word.from_indices(ternary_alphabet(), letters)
+    assert scattered_palindrome_count(w) == sum(scattered_palindromes_by_length(w))
 
 
 def test_scattered_palindrome_budgets():

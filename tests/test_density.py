@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import (
+    Alphabet,
     BalanceViolation,
     DomainError,
     GOLDEN_RATIO,
@@ -43,6 +46,24 @@ def test_window_frequency_sup():
     assert window_frequency_sup(w, "a", 5) == Fraction(3, 5)
     with pytest.raises(DomainError):
         window_frequency_sup(w, "a", 6)
+
+
+def window_sup_sliding(data, s, n):
+    """Largest frequency of letter s over the length-n windows, by a sliding count."""
+    count = data[:n].count(s)
+    best = count
+    for i in range(n, len(data)):
+        count += (data[i] == s) - (data[i - n] == s)
+        best = max(best, count)
+    return Fraction(best, n)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=120), st.integers(0, 2))
+def test_window_frequency_sup_matches_sliding_oracle(letters, s):
+    w = Word.from_indices(Alphabet("abc"), letters)
+    for n in range(1, len(w) + 1):
+        assert window_frequency_sup(w, s, n) == window_sup_sliding(w.data, s, n)
 
 
 def test_frequency_report_fields():
