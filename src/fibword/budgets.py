@@ -1,11 +1,13 @@
-"""Resource budgets, overridable through FIBWORD_* environment variables."""
+"""Resource budgets, set only through FIBWORD_* environment variables."""
 
 import os
+
+from .errors import DomainError
 
 _DEFAULTS = {
     "MODULUS_LIMIT": 10_000_000,   # largest p**lambda the brute-force scan accepts
     "PERIOD_STEPS": 100_000_000,   # steps of the one residue walk over a period
-    "CENSUS_NODES": 5_000_000,     # nodes of the one subtree a square-free census walks
+    "CENSUS_NODES": 5_000_000,     # nodes of each square-free walk (census or listing)
     "COVERAGE_CELLS": 20_000_000,  # bitmap cells (b**k) for coverage profiles
     "SP_TOTAL_MAXLEN": 400,        # word length cap for scattered palindrome totals
     "SP_LENGTH_MAXLEN": 64,        # cap for the per-length decomposition
@@ -20,7 +22,7 @@ def budget(name: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"FIBWORD_{name} must be an integer, got {raw!r}") from None
+        raise DomainError(f"FIBWORD_{name} must be an integer, got {raw!r}") from None
     if value <= 0:
-        raise ValueError(f"FIBWORD_{name} must be positive, got {value}")
+        raise DomainError(f"FIBWORD_{name} must be positive, got {value}")
     return value

@@ -10,6 +10,7 @@ Errors go to stderr as a one-line JSON object and set the exit status:
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -136,11 +137,12 @@ def _parse_target(text: str) -> float:
     if key in named:
         return named[key]
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse target {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"target must be a finite number, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -162,34 +164,26 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_complexity(args) -> int:
+# subcommand -> (profile function, letter naming the profile in text output)
+_PROFILES = {
+    "complexity": (complexity.factor_complexity, "p"),
+    "arithmetic": (complexity.arithmetic_complexity, "a"),
+}
+
+
+def cmd_profile(args) -> int:
+    profile_of, letter = _PROFILES[args.command]
     w = _resolve_word(args)
-    profile = complexity.factor_complexity(w, args.n_max)
+    profile = profile_of(w, args.n_max)
     rows = profile.rows()
     payload = {
-        "command": "complexity",
-        "kind": "factor",
+        "command": args.command,
+        "kind": profile.kind,
         "word_length": len(w),
         "alphabet_size": len(w.alphabet),
         "counts": [{"n": n, "count": c} for n, c in rows],
     }
-    lines = [f"p({n}) = {c}" for n, c in rows]
-    _emit(args, payload, lines, [("n", "count")] + rows)
-    return EXIT_OK
-
-
-def cmd_arithmetic(args) -> int:
-    w = _resolve_word(args)
-    profile = complexity.arithmetic_complexity(w, args.n_max)
-    rows = profile.rows()
-    payload = {
-        "command": "arithmetic",
-        "kind": "arithmetic",
-        "word_length": len(w),
-        "alphabet_size": len(w.alphabet),
-        "counts": [{"n": n, "count": c} for n, c in rows],
-    }
-    lines = [f"a({n}) = {c}" for n, c in rows]
+    lines = [f"{letter}({n}) = {c}" for n, c in rows]
     _emit(args, payload, lines, [("n", "count")] + rows)
     return EXIT_OK
 
@@ -313,6 +307,8 @@ def cmd_frequency(args) -> int:
 
 
 def cmd_balance(args) -> int:
+    if args.step < 1:
+        raise UsageError(f"--step must be at least 1, got {args.step}")
     w = _resolve_word(args)
     target = _parse_target(args.target)
     ns = range(args.n_min, args.n_max + 1, args.step)
@@ -601,13 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--seed-symbol")
 
-    sp = add("complexity", cmd_complexity, "factor complexity profile p(n)")
-    _add_word_source(sp)
-    sp.add_argument("--n-max", type=int, required=True)
-
-    sp = add("arithmetic", cmd_arithmetic, "arithmetic complexity profile a(n)")
-    _add_word_source(sp)
-    sp.add_argument("--n-max", type=int, required=True)
+    for name, help_text in (("complexity", "factor complexity profile p(n)"),
+                            ("arithmetic", "arithmetic complexity profile a(n)")):
+        sp = add(name, cmd_profile, help_text)
+        _add_word_source(sp)
+        sp.add_argument("--n-max", type=int, required=True)
 
     sp = add("sturmian", cmd_sturmian, "test whether p(n) = n + 1 up to n-max")
     _add_word_source(sp)

@@ -119,12 +119,9 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     return ComplexityProfile("arithmetic", tuple(counts), len(w), len(w.alphabet))
 
 
-def is_sturmian_profile(profile: ComplexityProfile, n_max: int | None = None) -> bool:
-    """True when the factor counts equal n + 1 for every covered n (up to n_max)."""
-    limit = profile.n_max if n_max is None else n_max
-    if not 1 <= limit <= profile.n_max:
-        raise DomainError(f"n_max must be in 1..{profile.n_max}, got {limit}")
-    return all(profile.counts[n - 1] == n + 1 for n in range(1, limit + 1))
+def is_sturmian_profile(profile: ComplexityProfile) -> bool:
+    """True when the factor counts equal n + 1 for every covered n."""
+    return all(c == n + 1 for n, c in enumerate(profile.counts, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +206,15 @@ class SquareFreeCensus:
 
 
 def square_free_census(alphabet_size: int, n_max: int | None = None,
-                       workers: int = 1, node_budget: int | None = None) -> SquareFreeCensus:
+                       workers: int = 1) -> SquareFreeCensus:
     """Tabulate a(n) by backtracking, pruning at the first square.
 
     Permuting letters preserves square-freeness, so for n >= 2 every
     square-free word is one of k(k-1) letter renamings of a word starting
     with letters 0, 1: a(n) = k(k-1) * #{square-free words of length n that
-    start 0 1}. Only that one subtree is walked, and node_budget bounds the
-    nodes of that walk. workers is accepted for compatibility and must be at
-    least 1; it does not change the work or the result.
+    start 0 1}. Only that one subtree is walked, and FIBWORD_CENSUS_NODES
+    bounds the nodes of that walk. workers is accepted for compatibility and
+    must be at least 1; it does not change the work or the result.
 
     With n_max=None the census runs until a(n) = 0, which only terminates on
     alphabets of size <= 2.
@@ -226,8 +223,7 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
         raise DomainError("alphabet_size must be at least 1")
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    if node_budget is None:
-        node_budget = budget("CENSUS_NODES")
+    node_budget = budget("CENSUS_NODES")
     terminated = False
     if n_max is None:
         if alphabet_size > 2:
@@ -254,29 +250,25 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
     return SquareFreeCensus(alphabet_size, tuple(counts), terminated)
 
 
-def count_square_free(alphabet_size: int, n: int, *,
-                      node_budget: int | None = None) -> int:
-    """Number of square-free words of length exactly n over the given alphabet.
-
-    node_budget is passed to square_free_census.
-    """
+def count_square_free(alphabet_size: int, n: int) -> int:
+    """Number of square-free words of length exactly n over the given alphabet."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    census = square_free_census(alphabet_size, n, node_budget=node_budget)
+    census = square_free_census(alphabet_size, n)
     return census.counts[n] if n < len(census.counts) else 0
 
 
-def square_free_words(alphabet_size: int, max_len: int | None = None,
-                      alphabet: Alphabet | None = None) -> list[Word]:
-    """All square-free words up to max_len (unbounded only for <= 2 letters).
+def square_free_words(alphabet_size: int, max_len: int | None = None) -> list[Word]:
+    """All square-free words over the letters a, b, ... up to max_len
+    (unbounded only for <= 2 letters).
 
     The walk covers the whole tree of words, under the FIBWORD_CENSUS_NODES
     node budget.
     """
-    if alphabet is None:
-        alphabet = Alphabet("abcdefghijklmnopqrstuvwxyz"[:alphabet_size])
-    elif len(alphabet) != alphabet_size:
-        raise DomainError("alphabet size mismatch")
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if not 1 <= alphabet_size <= len(letters):
+        raise DomainError(f"alphabet_size must be in 1..{len(letters)}, got {alphabet_size}")
+    alphabet = Alphabet(letters[:alphabet_size])
     if max_len is None:
         if alphabet_size > 2:
             raise DomainError("a bound is required on 3+ letters")

@@ -49,6 +49,8 @@ class FrequencyReport:
 def frequency_report(w: Word, symbol: "int | str", window: int | None = None,
                      target: float | None = None) -> FrequencyReport:
     """Global frequency of a symbol, with optional window sup and target deviation."""
+    if target is not None and not math.isfinite(target):
+        raise DomainError(f"target must be a finite number, got {target}")
     s = w.alphabet.as_index(symbol)
     freq = symbol_frequency(w, s)
     sup = window_frequency_sup(w, s, window) if window is not None else None
@@ -150,13 +152,12 @@ def golden_deviation_below(d: Fraction, eps: Fraction) -> bool:
     return _lt_sqrt5(lo) and _gt_sqrt5(hi)
 
 
-def golden_deviation(d: Fraction, digits: int = 30) -> Fraction:
-    """|d - (phi - 1)| to `digits` decimal places, as an exact rational."""
-    scale = 10 ** digits
-    root = math.isqrt(5 * scale * scale)  # floor(sqrt(5) * 10^digits)
+def golden_deviation(d: Fraction) -> Fraction:
+    """|d - (phi - 1)| to 30 decimal places, as an exact rational."""
+    scale = 10 ** 30
+    root = math.isqrt(5 * scale * scale)  # floor(sqrt(5) * 10^30)
     golden = (Fraction(root, scale) - 1) / 2
-    dev = abs(d - golden)
-    return dev
+    return abs(d - golden)
 
 
 def fibonacci_ratio(n: int) -> Fraction:

@@ -135,10 +135,6 @@ class CoverageReport:
     def complete(self) -> bool:
         return self.found == self.total
 
-    @property
-    def fraction(self) -> float:
-        return self.found / self.total
-
 
 def digits_through_block(base: int, n: int) -> int:
     """Total stream digits contributed by the blocks 0!, 1!, ..., n!."""
@@ -155,8 +151,7 @@ def digits_through_block(base: int, n: int) -> int:
 
 def coverage_profile(base: int, k: int, digit_budget: int | None = None,
                      block_budget: int | None = None,
-                     track_positions: bool = False,
-                     cell_limit: int | None = None) -> CoverageReport:
+                     track_positions: bool = False) -> CoverageReport:
     """Mark every length-k window in a prefix of the stream.
 
     The prefix is either the first digit_budget digits or everything through
@@ -172,7 +167,7 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     if digit_budget < k:
         raise DomainError(f"digit budget {digit_budget} cannot hold a length-{k} window")
     cells = base ** k
-    limit = budget("COVERAGE_CELLS") if cell_limit is None else cell_limit
+    limit = budget("COVERAGE_CELLS")
     if cells > limit:
         raise BudgetError(f"base^k = {cells} exceeds the coverage cell budget {limit}")
     alphabet = digit_alphabet(base)

@@ -382,16 +382,11 @@ class DensityResult:
     """Limiting density of Fibonacci residues modulo p^lambda as lambda grows."""
 
     context: PrimeContext
-    nonzero_residues: tuple[int, ...]   # F(i) mod p^e over indices with L(i) != 0 mod p
     outside_zero_residues: tuple[int, ...]
-    n_count: int
+    n_count: int          # distinct F(i) mod p^e over indices with L(i) != 0 mod p
     z_count: int
     density: Fraction
     shared_outside_residue: bool  # True when two Lucas zeros landed on one residue
-
-    @property
-    def prime(self) -> int:
-        return self.context.prime
 
 
 def density_formula(p: int) -> DensityResult:
@@ -420,7 +415,6 @@ def density_formula(p: int) -> DensityResult:
     density = Fraction(n_count, pe) + Fraction(z, 2 * p ** (2 * ctx.e - 1) * (p + 1))
     return DensityResult(
         context=ctx,
-        nonzero_residues=tuple(nonzero.tolist()),
         outside_zero_residues=tuple(sorted(set(outside))),
         n_count=n_count,
         z_count=z,
@@ -429,8 +423,7 @@ def density_formula(p: int) -> DensityResult:
     )
 
 
-def residue_density_bruteforce(p: int, lam: int,
-                               modulus_limit: int | None = None) -> Fraction:
+def residue_density_bruteforce(p: int, lam: int) -> Fraction:
     """|{F(n) mod p^lam}| / p^lam by walking one full period.
 
     Exact and formula-free, which is what makes it a useful cross-check: the
@@ -444,7 +437,7 @@ def residue_density_bruteforce(p: int, lam: int,
     if lam == 0:
         return Fraction(1, 1)
     modulus = p ** lam
-    limit = budget("MODULUS_LIMIT") if modulus_limit is None else modulus_limit
+    limit = budget("MODULUS_LIMIT")
     if modulus > limit:
         raise BudgetError(f"p^lambda = {modulus} exceeds the modulus budget {limit}")
     steps = budget("PERIOD_STEPS")
@@ -463,10 +456,8 @@ def residue_density_bruteforce(p: int, lam: int,
                       f"the period-step budget of {steps} steps")
 
 
-def bruteforce_trace(p: int, lam_max: int,
-                     modulus_limit: int | None = None) -> list[Fraction]:
+def bruteforce_trace(p: int, lam_max: int) -> list[Fraction]:
     """The densities for lambda = 0..lam_max, a non-increasing sequence."""
     if lam_max < 0:
         raise DomainError("lambda must be nonnegative")
-    return [residue_density_bruteforce(p, lam, modulus_limit)
-            for lam in range(lam_max + 1)]
+    return [residue_density_bruteforce(p, lam) for lam in range(lam_max + 1)]

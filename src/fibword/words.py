@@ -181,8 +181,7 @@ class Morphism:
         self.images = tuple(images)
 
     @classmethod
-    def from_rules(cls, rules: str, source: Alphabet | None = None,
-                   target: Alphabet | None = None) -> "Morphism":
+    def from_rules(cls, rules: str) -> "Morphism":
         """Parse a rule string like "a->ab,b->a"."""
         mapping: dict[str, str] = {}
         for part in rules.split(","):
@@ -196,7 +195,7 @@ class Morphism:
             if sym in mapping:
                 raise DomainError(f"duplicate rule for symbol {sym!r}")
             mapping[sym] = img
-        return cls.from_dict(mapping, source, target)
+        return cls.from_dict(mapping)
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str], source: Alphabet | None = None,

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from fibword import cli, fib_pair_mod
+from fibword import budgets, cli, fib_pair_mod
 
 SCHEMA = json.loads(
     resources.files("fibword").joinpath("schemas/cli_output.schema.json").read_text()
@@ -331,6 +331,51 @@ def test_period_step_budget_exit_code(capsys, monkeypatch):
     assert code == 2
     error = json.loads(err)
     assert error["kind"] == "resource" and "1000" in error["error"]
+
+
+@pytest.mark.parametrize("value", ("abc", "0", "-5"))
+def test_malformed_budget_variable_is_domain_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", value)
+    code, out, err = run(capsys, "squarefree", "--n-max", "5")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMA)
+    assert error["kind"] == "domain" and "FIBWORD_CENSUS_NODES" in error["error"]
+
+
+def test_balance_rejects_a_step_below_one(capsys):
+    for step in ("0", "-1"):
+        code, out, err = run(capsys, "balance", "--text", "abab", "--symbol", "a",
+                             "--target", "0.5", "--n-max", "4", "--step", step)
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "usage"
+
+
+@pytest.mark.parametrize("target", ("nan", "inf", "-inf", "1e400"))
+def test_frequency_rejects_a_non_finite_target(capsys, target):
+    code, out, err = run(capsys, "frequency", "--text", "abab", "--symbol", "a",
+                         f"--target={target}", "--format", "json")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "usage" and "finite" in error["error"]
+
+
+def test_squarefree_listing_names_the_alphabet_range(capsys):
+    code, out, err = run(capsys, "squarefree", "--list", "--alphabet-size", "27",
+                         "--n-max", "2")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "domain" and "1..26" in error["error"]
+
+
+def test_readme_budget_table_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Resource budgets", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `FIBWORD_")]
+    documented = {name.strip().strip("`"): int(default.replace(" ", ""))
+                  for name, default in rows}
+    assert documented == {"FIBWORD_" + k: v for k, v in budgets._DEFAULTS.items()}
 
 
 def test_pisano_of_a_large_prime(capsys):

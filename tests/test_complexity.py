@@ -262,6 +262,12 @@ def test_square_free_listing_matches_exhaustive_filter(k, max_len):
         square_free_words(k, -1)
 
 
+@pytest.mark.parametrize("size", (0, 27))
+def test_square_free_listing_names_its_alphabet_range(size):
+    with pytest.raises(DomainError, match=r"1\.\.26"):
+        square_free_words(size, 2)
+
+
 def test_square_free_listing_node_budget(monkeypatch):
     # the listing walks the full tree of words under the census budget
     monkeypatch.setenv("FIBWORD_CENSUS_NODES", "1000")
@@ -269,20 +275,23 @@ def test_square_free_listing_node_budget(monkeypatch):
         square_free_words(3, 30)
 
 
-def test_census_node_budget():
+def test_census_node_budget(monkeypatch):
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "100")
     with pytest.raises(BudgetError):
-        square_free_census(3, 25, node_budget=100)
+        square_free_census(3, 25)
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_census_budget_does_not_depend_on_workers(workers):
+def test_census_budget_does_not_depend_on_workers(workers, monkeypatch):
     # one global budget over one walk: the outcome is the same for any
     # worker count, and a(0..24) (A006156) fit in 20 000 nodes
-    census = square_free_census(3, 24, workers, node_budget=20_000)
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "20000")
+    census = square_free_census(3, 24, workers)
     assert census.counts[:21] == TERNARY_COUNTS
     assert census.counts[21:] == (3180, 4146, 5418, 7032)
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "5000")
     with pytest.raises(BudgetError):
-        square_free_census(3, 24, workers, node_budget=5_000)
+        square_free_census(3, 24, workers)
 
 
 def test_count_square_free_single_lengths():
@@ -291,12 +300,15 @@ def test_count_square_free_single_lengths():
     assert count_square_free(3, 0) == 1
 
 
-def test_count_square_free_budget_is_keyword_only():
+def test_count_square_free_budget_comes_from_environment(monkeypatch):
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "1000")
     with pytest.raises(BudgetError):
-        count_square_free(3, 24, node_budget=1000)
-    # a third positional argument is never read as a budget
+        count_square_free(3, 24)
+    # no argument is ever read as a budget
     with pytest.raises(TypeError):
         count_square_free(3, 24, 1000)
+    with pytest.raises(TypeError):
+        count_square_free(3, 24, node_budget=1000)
 
 
 def test_growth_estimate():

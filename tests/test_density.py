@@ -74,6 +74,13 @@ def test_frequency_report_fields():
     assert rep.max_deviation is not None and rep.max_deviation < 0.02
 
 
+@pytest.mark.parametrize("target", (float("nan"), float("inf"), float("-inf")))
+def test_frequency_report_rejects_non_finite_target(target):
+    w = Word.from_string("abab", binary_alphabet())
+    with pytest.raises(DomainError, match="finite"):
+        frequency_report(w, "a", window=2, target=target)
+
+
 def test_fibonacci_letter_counts_are_fibonacci_numbers():
     # on a prefix of length F(n), the rare letter appears F(n-2) times
     w = fixed_point_prefix(fibonacci_morphism(), "a", 6765)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -91,8 +92,9 @@ def valuation_of_f(p, eps):
 def density_walk(p, e=None):
     """density_formula by one set-based pass over a walked Pisano period.
 
-    e defaults to the valuation read off the exact F(p - eps); pass it for
-    primes too large for that.
+    Returns the result and the set of residues F(i) mod p^e at the indices
+    with L(i) != 0 mod p. e defaults to the valuation read off the exact
+    F(p - eps); pass it for primes too large for that.
     """
     eps = 1 if p % 5 in (1, 4) else -1
     if e is None:
@@ -117,13 +119,12 @@ def density_walk(p, e=None):
     z = len(outside)
     return DensityResult(
         context=ctx,
-        nonzero_residues=tuple(sorted(nonzero)),
         outside_zero_residues=tuple(sorted(set(outside))),
         n_count=len(nonzero),
         z_count=z,
         density=Fraction(len(nonzero), pe) + Fraction(z, 2 * p ** (2 * e - 1) * (p + 1)),
         shared_outside_residue=len(set(outside)) < z,
-    )
+    ), nonzero
 
 
 PRIMES_BELOW_3000 = [p for p in range(3000) if is_prime_trial(p)]
@@ -260,7 +261,21 @@ def test_density_formula_examples(p, dens, n_count, z_count):
     assert res.n_count == n_count
     assert res.z_count == z_count
     # the two residue families never overlap
-    assert not (set(res.nonzero_residues) & set(res.outside_zero_residues))
+    _, nonzero = density_walk(p)
+    assert len(nonzero) == n_count
+    assert not (nonzero & set(res.outside_zero_residues))
+
+
+def test_density_formula_memory():
+    """The residues stay in numpy arrays: no Python int per residue."""
+    density_formula(7)   # imports and first-call allocations stay outside
+    tracemalloc.start()
+    try:
+        density_formula(1_999_993)   # N = 1 499 569 residues
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_density_formula_structure():
@@ -322,12 +337,13 @@ def test_bruteforce_tail_bound():
         assert 0 <= gap <= Fraction(3, p ** lam)
 
 
-def test_bruteforce_budget():
+def test_bruteforce_budget(monkeypatch):
     with pytest.raises(BudgetError):
         residue_density_bruteforce(19, 9)
-    # explicit budgets override the environment default
+    # the environment overrides the default
+    monkeypatch.setenv("FIBWORD_MODULUS_LIMIT", "100")
     with pytest.raises(BudgetError):
-        residue_density_bruteforce(19, 2, modulus_limit=100)
+        residue_density_bruteforce(19, 2)
 
 
 def test_bruteforce_rejects_bad_input():
@@ -359,7 +375,7 @@ def test_lucas_zeros_and_density_match_walks_for_primes_below_3000():
         if p in (2, 5):
             assert lucas_zeros(p) == lucas_zeros_walk(p)
         else:
-            want = density_walk(p)   # its context holds the walked Lucas zeros
+            want, _ = density_walk(p)   # its context holds the walked Lucas zeros
             assert lucas_zeros(p) == want.context.lucas_zero_indices, p
             assert density_formula(p) == want, p
 
@@ -397,7 +413,7 @@ SHORT_PERIOD_PRIMES = [fib(47), fib(83), fib(131), lucas(41), lucas(47), lucas(1
 def test_density_for_huge_primes_with_short_periods(p):
     assert is_prime(p)
     eps = 1 if p % 5 in (1, 4) else -1
-    assert density_formula(p) == density_walk(p, e=valuation_of_f(p, eps))
+    assert density_formula(p) == density_walk(p, e=valuation_of_f(p, eps))[0]
 
 
 def test_is_prime_matches_trial_division():
