@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +28,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1/2, -1e-3 or -inf is an option's argument, not
+        # an option; argparse alone only knows plain decimals like -0.5
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf$|nan$)", re.I)
+
     # argparse wants to sys.exit(2) on bad flags; route through our own
     # error path instead so every failure mode has one exit-code contract
     def error(self, message):
@@ -426,11 +433,6 @@ def cmd_density(args) -> int:
         f"N = {res.n_count}, Z = {res.z_count}",
         f"dens = {res.density} ~ {float(res.density):.10f}",
     ]
-    if args.trace is not None:
-        trace = modfib.bruteforce_trace(args.prime, args.trace)
-        payload["brute_trace"] = trace
-        lines += [f"brute lambda={lam}: {d} ~ {float(d):.10f}"
-                  for lam, d in enumerate(trace)]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -452,6 +454,11 @@ def cmd_fword(args) -> int:
     payload = {"command": "fword", "base": args.base}
     lines = []
     csv_rows = None
+    if args.blocks is not None:
+        if args.coverage is None:
+            raise UsageError("--blocks is a budget for --coverage only")
+        if args.digits is not None:
+            raise UsageError("give --digits or --blocks as the --coverage budget, not both")
     if args.coverage is not None:
         if args.blocks is not None:
             report = factorial_word.coverage_profile(
@@ -653,8 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("density", cmd_density,
              "exact limiting density of Fibonacci residues mod p^lambda")
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--trace", type=int, metavar="LMAX",
-                    help="also tabulate brute-force densities for lambda = 0..LMAX")
 
     sp = add("densbrute", cmd_densbrute,
              "brute-force residue densities by walking full periods")

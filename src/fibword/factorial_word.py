@@ -1,7 +1,10 @@
 """The infinite word formed by concatenating 0!, 1!, 2!, ... in base b."""
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate, count, islice
 
 from .budgets import budget
 from .errors import BudgetError, DomainError
@@ -43,55 +46,49 @@ def to_base_digits(x: int, base: int) -> list[int]:
     return top(x, len(powers) - 1)
 
 
-class FactorialWordStream:
-    """Produces the digit stream of 0!, 1!, 2!, ... concatenated in base b.
+def factorial_blocks(base: int) -> Iterator[bytes]:
+    """The base-b digits of 0!, 1!, 2!, ..., one bytes object per factorial.
 
-    Digits come out as small integers (index values of the digit alphabet).
+    Digits are index values of the digit alphabet; joined, the blocks are the
+    factorial word.
     """
+    digit_alphabet(base)  # rejects bases outside 2..36
+    return (bytes(to_base_digits(f, base))
+            for f in accumulate(count(1), operator.mul, initial=1))
 
-    def __init__(self, base: int):
-        if not 2 <= base <= 36:
-            raise DomainError(f"base must be between 2 and 36, got {base}")
-        self.base = base
-        self.alphabet = digit_alphabet(base)
-        self._n = 0            # block to emit next is _n!
-        self._factorial = 1
-        self._buf = bytearray()
-        self._start = 0        # read offset into _buf
-        self.emitted = 0       # digits handed out so far
 
-    def _refill(self) -> None:
-        self._buf = self._buf[self._start:]
-        self._start = 0
-        self._buf.extend(to_base_digits(self._factorial, self.base))
-        self._n += 1
-        self._factorial *= self._n
+def _chunks(base: int, n_digits: int, overlap: int) -> Iterator[tuple[int, bytes]]:
+    """The first n_digits of the stream as (position, chunk), one per factorial.
 
-    def take(self, count: int) -> bytes:
-        """The next `count` digits of the stream."""
-        if count < 0:
-            raise DomainError("count must be nonnegative")
-        while len(self._buf) - self._start < count:
-            self._refill()
-        out = bytes(self._buf[self._start : self._start + count])
-        self._start += count
-        self.emitted += count
-        return out
+    Each chunk starts with the last `overlap` digits of the chunk before, so
+    every window of overlap + 1 digits lies whole inside one chunk; position
+    is where the chunk's first digit sits in the stream.
+    """
+    tail = b""
+    read = 0
+    for block in factorial_blocks(base):
+        block = block[: n_digits - read]
+        chunk = tail + block
+        yield read - len(tail), chunk
+        read += len(block)
+        if read >= n_digits:
+            return
+        tail = chunk[-overlap:] if overlap else b""
 
 
 def factorial_word_prefix(base: int, n_digits: int) -> Word:
     """The first n_digits symbols of the concatenated-factorials word."""
     if n_digits < 0:
         raise DomainError("n_digits must be nonnegative")
-    stream = FactorialWordStream(base)
-    return Word(stream.alphabet, stream.take(n_digits))
+    alphabet = digit_alphabet(base)
+    return Word(alphabet, b"".join(chunk for _, chunk in _chunks(base, n_digits, 0)))
 
 
 def factor_search(base: int, target: "Word | str", digit_budget: int) -> int | None:
     """Position of the first occurrence of target in the stream, or None.
 
-    Scans at most digit_budget digits, holding only a chunk plus the overlap
-    tail in memory.
+    Scans at most digit_budget digits, holding one factorial's digits plus
+    len(target) - 1 overlap digits in memory.
     """
     alphabet = digit_alphabet(base)
     if isinstance(target, str):
@@ -103,19 +100,10 @@ def factor_search(base: int, target: "Word | str", digit_budget: int) -> int | N
     if digit_budget < 1:
         raise DomainError("digit budget must be positive")
     needle = target.data
-    stream = FactorialWordStream(base)
-    chunk_size = max(4096, 4 * len(needle))
-    tail = b""
-    consumed = 0
-    while consumed < digit_budget:
-        chunk = stream.take(min(chunk_size, digit_budget - consumed))
-        hay = tail + chunk
-        hit = hay.find(needle)
+    for position, chunk in _chunks(base, digit_budget, len(needle) - 1):
+        hit = chunk.find(needle)
         if hit != -1:
-            return consumed - len(tail) + hit
-        consumed += len(chunk)
-        keep = len(needle) - 1
-        tail = hay[len(hay) - keep:] if keep else b""
+            return position + hit
     return None
 
 
@@ -140,13 +128,7 @@ def digits_through_block(base: int, n: int) -> int:
     """Total stream digits contributed by the blocks 0!, 1!, ..., n!."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    total = 0
-    factorial = 1
-    for j in range(n + 1):
-        if j:
-            factorial *= j
-        total += len(to_base_digits(factorial, base))
-    return total
+    return sum(map(len, islice(factorial_blocks(base), n + 1)))
 
 
 def coverage_profile(base: int, k: int, digit_budget: int | None = None,
@@ -162,24 +144,25 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
         raise DomainError("k must be at least 1")
     if (digit_budget is None) == (block_budget is None):
         raise DomainError("give exactly one of digit_budget and block_budget")
-    if block_budget is not None:
-        digit_budget = digits_through_block(base, block_budget)
-    if digit_budget < k:
+    if block_budget is not None and block_budget < 0:
+        raise DomainError("block budget must be nonnegative")
+    if digit_budget is not None and digit_budget < k:
         raise DomainError(f"digit budget {digit_budget} cannot hold a length-{k} window")
     cells = base ** k
     limit = budget("COVERAGE_CELLS")
     if cells > limit:
         raise BudgetError(f"base^k = {cells} exceeds the coverage cell budget {limit}")
     alphabet = digit_alphabet(base)
+    if block_budget is None:
+        chunks = (chunk for _, chunk in _chunks(base, digit_budget, 0))
+    else:
+        chunks = islice(factorial_blocks(base), block_budget + 1)
     seen = bytearray(cells)
     first: dict[int, int] = {}
-    stream = FactorialWordStream(base)
     idx = 0
     high = base ** (k - 1)
     consumed = 0
-    chunk_size = 8192
-    while consumed < digit_budget:
-        chunk = stream.take(min(chunk_size, digit_budget - consumed))
+    for chunk in chunks:
         for d in chunk:
             idx = (idx % high) * base + d
             consumed += 1
@@ -187,6 +170,8 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
                 seen[idx] = 1
                 if track_positions:
                     first[idx] = consumed - k
+    if consumed < k:  # only a block budget gets here
+        raise DomainError(f"digit budget {consumed} cannot hold a length-{k} window")
     found = sum(seen)
     missing = []
     if found < cells:
@@ -200,7 +185,7 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
         positions = {
             _decode_cell(cell, base, k, alphabet): pos for cell, pos in first.items()
         }
-    return CoverageReport(base, k, digit_budget, found, cells, tuple(missing), positions)
+    return CoverageReport(base, k, consumed, found, cells, tuple(missing), positions)
 
 
 def _decode_cell(cell: int, base: int, k: int, alphabet) -> str:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -214,15 +215,10 @@ def test_density_command(capsys):
     assert payload["pisano"] == 28 and payload["restricted"] == 7
 
 
-def test_density_with_trace(capsys):
-    code, payload = run_json(capsys, "density", "--prime", "19", "--trace", "2")
-    assert code == 0
-    assert payload["brute_trace"] == ["1/1", "12/19", "210/361"]
-
-
 def test_densbrute_command(capsys):
     code, payload = run_json(capsys, "densbrute", "--prime", "19", "--max-level", "2")
     assert code == 0
+    assert payload["levels"][0] == {"lambda": 0, "density": "1/1"}
     assert payload["levels"][1] == {"lambda": 1, "density": "12/19"}
     assert payload["levels"][2] == {"lambda": 2, "density": "210/361"}
 
@@ -249,6 +245,18 @@ def test_fword_coverage(capsys):
         capsys, "fword", "--base", "2", "--coverage", "1", "--blocks", "3"
     )
     assert code == 0 and payload["found"] == 2
+
+
+def test_fword_blocks_conflicts_are_usage_errors(capsys):
+    # --blocks never silently gives way to --digits or to a prefix listing
+    cases = {("--coverage", "1", "--digits", "5", "--blocks", "2"): ("--digits", "--blocks"),
+             ("--digits", "5", "--blocks", "2"): ("--blocks", "--coverage")}
+    for argv, flags in cases.items():
+        code, out, err = run(capsys, "fword", *argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "usage"
+        assert all(flag in error["error"] for flag in flags)
 
 
 def test_leading_command(capsys):
@@ -358,6 +366,27 @@ def test_frequency_rejects_a_non_finite_target(capsys, target):
     assert code == 1 and out == ""
     error = json.loads(err)
     assert error["kind"] == "usage" and "finite" in error["error"]
+
+
+@pytest.mark.parametrize("command", ["frequency", "balance"])
+@pytest.mark.parametrize("target", ["-1/2", "-1e-3", "-inf", "-NaN"])
+def test_negative_target_reaches_the_target_parser(capsys, command, target):
+    argv = [command, "--text", "abab", "--symbol", "a", "--target", target,
+            "--format", "json"]
+    if command == "balance":
+        argv += ["--n-max", "1"]
+    code, out, err = run(capsys, *argv)
+    if target in ("-inf", "-NaN"):
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "usage" and "finite" in error["error"]
+    elif command == "frequency":
+        assert code == 0 and json.loads(out)["target"] == float(Fraction(target))
+    else:
+        # the one-letter window "a" has frequency 1, which is 1 - t away
+        # from a negative target t: more than 1/n for n = 1
+        deviation = 1 - float(Fraction(target))
+        assert code == 1 and f"deviation {deviation}" in json.loads(err)["error"]
 
 
 def test_squarefree_listing_names_the_alphabet_range(capsys):

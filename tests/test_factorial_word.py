@@ -1,15 +1,18 @@
 import math
 import random
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import (
     BudgetError,
     DomainError,
-    FactorialWordStream,
     coverage_profile,
     digits_through_block,
     factor_search,
+    factorial_blocks,
     factorial_word_prefix,
     leading_digits_search,
     logfactorial_equidistribution,
@@ -76,35 +79,37 @@ def test_prefix_is_frozen_constant():
     assert str(factorial_word_prefix(10, 7)) == PREFIX_21[:7]
 
 
-def test_stream_is_deterministic_across_chunkings():
-    a = FactorialWordStream(10)
-    b = FactorialWordStream(10)
-    left = a.take(1000)
-    right = b"".join(bytes(b.take(n)) for n in (1, 2, 3, 500, 494))
-    assert bytes(left) == right
-    assert a.emitted == b.emitted == 1000
-
-
 def test_stream_blocks_are_factorials():
-    """Each block of the stream is the base-b expansion of the next factorial."""
-    rng = random.Random(32)
+    """Block n of the stream is the base-b expansion of n!."""
     for base in (2, 10, 16):
-        budget = digits_through_block(base, 120)
-        data = bytes(FactorialWordStream(base).take(budget))
-        for _ in range(20):
-            n = rng.randrange(0, 120)
-            start = digits_through_block(base, n - 1) if n else 0
-            end = digits_through_block(base, n)
-            assert list(data[start:end]) == to_base_digits(math.factorial(n), base)
+        blocks = islice(factorial_blocks(base), 121)
+        for n, block in enumerate(blocks):
+            assert list(block) == to_base_digits(math.factorial(n), base)
 
 
 def test_stream_block_audit_large_n():
     # a deeper single probe near the audit ceiling
-    n = 500
-    start = digits_through_block(10, n - 1)
-    end = digits_through_block(10, n)
-    data = bytes(FactorialWordStream(10).take(end))
-    assert list(data[start:end]) == to_base_digits(math.factorial(n), 10)
+    block = next(islice(factorial_blocks(10), 500, None))
+    assert list(block) == to_base_digits(math.factorial(500), 10)
+
+
+def test_stream_is_deterministic_across_chunkings():
+    # prefixes cut the blocks at any length, and searches that carry
+    # different overlaps from chunk to chunk read the same digits
+    for base in (2, 10, 16):
+        joined = b"".join(islice(factorial_blocks(base), 60))
+        for n in (0, 1, 2, 7, 100, len(joined)):
+            assert factorial_word_prefix(base, n).data == joined[:n]
+        text = str(factorial_word_prefix(base, len(joined)))
+        for size in (1, 2, 5, 30):
+            target = text[-size:]
+            assert factor_search(base, target, len(joined)) == text.find(target)
+
+
+def test_factorial_blocks_rejects_bad_base():
+    for base in (1, 37):
+        with pytest.raises(DomainError):
+            factorial_blocks(base)
 
 
 def test_digits_through_block_counts():
@@ -138,10 +143,44 @@ def test_factor_search_positions_reextract():
 
 
 def test_factor_search_straddles_chunk_boundaries():
-    # targets crossing the internal 4096-digit chunk edge must still be found
+    # each chunk of the search is one factorial; a target that crosses from
+    # one block into the next must still be found
     prefix = str(factorial_word_prefix(10, 4200))
-    target = prefix[4090:4105]
-    assert factor_search(10, target, 4200) == prefix.find(target)
+    ends = 0
+    for n, block in enumerate(islice(factorial_blocks(10), 200)):
+        ends += len(block)
+        if 12 <= ends <= 4190:
+            target = prefix[ends - 9 : ends + 6]
+            assert factor_search(10, target, 4200) == prefix.find(target), n
+
+
+@settings(max_examples=60)
+@given(base=st.integers(2, 36), budget=st.integers(1, 3000), data=st.data())
+def test_factor_search_and_coverage_match_the_prefix(base, budget, data):
+    """Windows that cross block and budget edges, against a plain prefix."""
+    alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"[:base]
+    text = str(factorial_word_prefix(base, budget + 40))
+    prefix = text[:budget]
+    size = data.draw(st.integers(1, 40), label="size")
+    if data.draw(st.booleans(), label="from the stream"):
+        start = data.draw(st.integers(0, len(text) - size), label="start")
+        target = text[start : start + size]
+    else:
+        target = "".join(data.draw(st.lists(st.sampled_from(alphabet),
+                                            min_size=size, max_size=size)))
+    want = prefix.find(target)
+    assert factor_search(base, target, budget) == (None if want < 0 else want)
+
+    k = data.draw(st.integers(1, min(3, budget)), label="k")
+    first = {}
+    for i in range(budget - k + 1):
+        first.setdefault(prefix[i : i + k], i)
+    missing = [w for w in map("".join, product(alphabet, repeat=k)) if w not in first]
+    report = coverage_profile(base, k, budget, track_positions=True)
+    assert report.digit_budget == budget
+    assert (report.found, report.total) == (len(first), base ** k)
+    assert report.missing_sample == tuple(missing[:20])
+    assert report.first_positions == first
 
 
 def test_factor_search_validates_target():
@@ -166,6 +205,20 @@ def test_coverage_block_budget_reading():
     report = coverage_profile(2, 1, block_budget=3)
     assert report.complete
     assert (report.found, report.total) == (2, 2)
+
+
+def test_coverage_block_budget_equals_its_digit_budget():
+    for base in (2, 3, 10, 16, 36):
+        for n in range(40):
+            digits = digits_through_block(base, n)
+            for k in range(1, min(3, digits) + 1):
+                by_blocks = coverage_profile(base, k, block_budget=n, track_positions=True)
+                by_digits = coverage_profile(base, k, digits, track_positions=True)
+                assert by_blocks == by_digits, (base, n, k)
+    with pytest.raises(DomainError):
+        coverage_profile(10, 2, block_budget=0)  # 0! is one digit
+    with pytest.raises(DomainError):
+        coverage_profile(10, 2, block_budget=-1)
 
 
 def test_coverage_bigrams_base10():

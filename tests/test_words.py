@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fibword import (
@@ -165,6 +166,14 @@ def test_mbonacci_morphism_small_orders():
     assert mbonacci_morphism(2).rules_dict() == {"1": "12", "2": "1"}
     with pytest.raises(DomainError):
         mbonacci_morphism(1)
+
+
+def test_mbonacci_matrix_recurrence():
+    """A^m = A^(m-1) + ... + A + I for the m-bonacci incidence matrix A."""
+    for m in range(2, 36):
+        a = np.array(adjacency_matrix(mbonacci_morphism(m)), dtype=np.int64)
+        powers = [np.linalg.matrix_power(a, i) for i in range(m + 1)]
+        assert (powers[m] == sum(powers[:m])).all(), m
 
 
 def test_adjacency_matrix_values():
