@@ -553,11 +553,9 @@ def cmd_verify(args) -> int:
     if args.only:
         names = [n for spec in args.only for n in spec.split(",") if n]
         unknown = [n for n in names if n not in verify.CHECKS]
-        if unknown:
-            raise UsageError(
-                f"unknown checks: {', '.join(unknown)}; "
-                f"available: {', '.join(verify.CHECKS)}"
-            )
+        if unknown or not names:
+            what = f"unknown checks: {', '.join(unknown)}" if unknown else "--only names no check"
+            raise UsageError(f"{what}; available: {', '.join(verify.CHECKS)}")
     results = verify.run_checks(names, seed=args.seed)
     all_passed = all(r.passed for r in results)
     payload = {

@@ -14,8 +14,8 @@ from .words import Word, digit_alphabet
 def to_base_digits(x: int, base: int) -> list[int]:
     """Digits of x in the given base, most significant first.
 
-    Splits on powers base^(2^i) so huge factorials convert in near-linear
-    time and without tripping the interpreter's str() digit limit.
+    Splits on powers base^(2^i): no str() digit limit and no Python loop per
+    digit, though big-int division keeps the cost about quadratic.
     """
     if x < 0:
         raise DomainError("x must be nonnegative")
@@ -196,13 +196,37 @@ def _decode_cell(cell: int, base: int, k: int, alphabet) -> str:
     return "".join(reversed(digits))
 
 
+def _log_factorial_fracs(base: int, n_max: int) -> Iterator[float]:
+    """frac(log_b n!) for n = 0..n_max, from a compensated sum of log(j)/log(b)."""
+    log_base = math.log(base)
+    log_sum = comp = 0.0
+    yield 0.0
+    for j in range(1, n_max + 1):
+        term = math.log(j) / log_base
+        y = term - comp
+        t = log_sum + y
+        comp = (t - log_sum) - y
+        log_sum = t
+        yield log_sum - math.floor(log_sum)
+
+
+def _frac_error_bound(base: int, n_max: int) -> float:
+    """Proven bound on the error of every frac _log_factorial_fracs(base, n_max) yields.
+
+    Assume math.log is within 1 ulp; let u = 2^-53. Each term log(j)/log(b) is then within
+    5u + O(u^2) of log_b j, relative; compensated summation adds 2u + O(n u^2) (Higham 2002,
+    sec. 4.3). So log_sum is off by at most (7u + O(n u^2))·S, S = log_b n! <= n·log_b n + 1,
+    and frac subtracts floor(log_sum) exactly. The 10u·(n·log_b n + 1) returned leaves 3u·S
+    for the O(n u^2) terms (n < 2^40) and for the rounding of this formula.
+    """
+    return 5 * 2.0 ** -52 * (n_max * math.log(max(n_max, 1)) / math.log(base) + 1)
+
+
 def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int | None:
     """Smallest n <= n_budget such that n! written in base b starts with prefix.
 
-    A floating-point filter on frac(log_b n!) proposes candidates; every
-    candidate is confirmed against the exact digits of n!, so the float error
-    can only cost extra confirmations, never a wrong answer, as long as the
-    accumulated drift stays inside the margin.
+    A filter on frac(log_b n!), widened by its proven error bound, proposes
+    candidates; each is confirmed on the leading digits of math.factorial(n).
     """
     alphabet = digit_alphabet(base)
     if isinstance(prefix, str):
@@ -215,32 +239,22 @@ def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int
         raise DomainError("a leading-digit prefix cannot start with 0")
     if n_budget < 0:
         raise DomainError("n budget must be nonnegative")
-    want = list(prefix.data)
-    m = len(want)
-    K = 0
-    for d in want:
-        K = K * base + d
-    log_base = math.log(base)
-    lo = math.log(K) / log_base - (m - 1)
-    hi = math.log(K + 1) / log_base - (m - 1)
-    margin = 1e-9
-
-    factorial = 1
-    log_sum = 0.0     # log_b(n!) with compensated accumulation
-    comp = 0.0
-    for n in range(n_budget + 1):
-        if n >= 1:
-            factorial *= n
-            term = math.log(n) / log_base
-            y = term - comp
-            t = log_sum + y
-            comp = (t - log_sum) - y
-            log_sum = t
-        frac = log_sum - math.floor(log_sum)
-        near = any(lo - margin <= frac + shift <= hi + margin for shift in (-1.0, 0.0, 1.0))
-        if near:
-            digits = to_base_digits(factorial, base)
-            if len(digits) >= m and digits[:m] == want:
+    m = len(prefix)
+    K = int(str(prefix), base)
+    # n! starts with K iff frac(log_b n!) is in [log_b K, log_b(K + 1)) - (m - 1). The
+    # edges are off by 5u·m and the tests round by 3u, both under (m + 1)·2^-50; the
+    # widened window may wrap past 0 or 1.
+    margin = _frac_error_bound(base, n_budget) + (m + 1) * 2.0 ** -50
+    lo = math.log(K, base) - (m - 1) - margin
+    hi = math.log(K + 1, base) - (m - 1) + margin
+    for n, frac in enumerate(_log_factorial_fracs(base, n_budget)):
+        if lo <= frac <= hi or frac - 1.0 >= lo or frac + 1.0 <= hi:
+            f = math.factorial(n)
+            # divide by b^s with d - m - 3 <= s <= d - m for the d digits of f
+            head = f // base ** max(0, int((f.bit_length() - 1) * math.log(2, base)) - m)
+            while head >= base ** m:
+                head //= base
+            if head == K:
                 return n
     return None
 
@@ -255,7 +269,7 @@ class WeylReport:
     weyl_magnitude: float           # |1/n sum of exponentials|
     histogram: tuple[int, ...]      # counts of frac values per bin
     bins: int
-    summation_error_bound: float    # worst-case drift of the compensated log sums
+    summation_error_bound: float    # proven bound on each frac's error (_frac_error_bound)
 
 
 def logfactorial_equidistribution(base: int, n_max: int, frequency: int = 1,
@@ -273,27 +287,15 @@ def logfactorial_equidistribution(base: int, n_max: int, frequency: int = 1,
         raise DomainError("frequency must be at least 1")
     if bins < 1:
         raise DomainError("bins must be at least 1")
-    log_base = math.log(base)
     hist = [0] * bins
-    log_sum = 0.0
-    comp = 0.0
-    abs_total = 0.0
     re = im = 0.0
     two_pi_n = 2.0 * math.pi * frequency
-    for j in range(1, n_max + 1):
-        term = math.log(j) / log_base
-        abs_total += term
-        y = term - comp
-        t = log_sum + y
-        comp = (t - log_sum) - y
-        log_sum = t
-        frac = log_sum - math.floor(log_sum)
+    for frac in islice(_log_factorial_fracs(base, n_max), 1, None):  # j = 1..n_max
         bin_at = min(int(frac * bins), bins - 1)
         hist[bin_at] += 1
         angle = two_pi_n * frac
         re += math.cos(angle)
         im += math.sin(angle)
-    eps = 2.0 ** -52
-    bound = 2.0 * eps * abs_total
     magnitude = math.hypot(re, im) / n_max
-    return WeylReport(base, n_max, frequency, magnitude, tuple(hist), bins, bound)
+    return WeylReport(base, n_max, frequency, magnitude, tuple(hist), bins,
+                      _frac_error_bound(base, n_max))

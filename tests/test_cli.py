@@ -300,6 +300,16 @@ def test_verify_unknown_check(capsys):
     assert json.loads(err)["kind"] == "usage"
 
 
+@pytest.mark.parametrize("only", [",", ",,", ""])
+def test_verify_only_naming_no_check_is_usage_error(capsys, only):
+    code, out, err = run(capsys, "verify", "--only", only)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMA)
+    assert error["kind"] == "usage"
+    assert "no check" in error["error"] and "factorial-word" in error["error"]
+
+
 # ---------------------------------------------------------------------------
 # error contract
 

@@ -1,7 +1,9 @@
 import math
 import random
+from functools import lru_cache
 from itertools import islice, product
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from fibword import (
     logfactorial_equidistribution,
     to_base_digits,
 )
+from fibword import factorial_word
+from fibword.factorial_word import _frac_error_bound, _log_factorial_fracs
 
 PREFIX_21 = "112624120720504040320"
 
@@ -288,6 +292,87 @@ def test_leading_digits_other_bases():
     assert hex_digits.startswith("ff")
 
 
+DIGIT_LABELS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+@lru_cache(maxsize=None)
+def leading_table(base, n_max=3000, width=4):
+    """(digit count, leading `width` digits) of n! for n = 0..n_max, floats unused."""
+    rows = []
+    f, power, d = 1, 1, 1  # power = base^(d - 1) <= f < base^d
+    for n in range(n_max + 1):
+        if n:
+            f *= n
+        while power * base <= f:
+            power *= base
+            d += 1
+        rows.append((d, f // (power // base ** (width - 1)) if d >= width else f))
+    return tuple(rows)
+
+
+def first_leading(base, target, budget):
+    """Smallest n <= budget whose n! starts with target, read off leading_table."""
+    m = len(target)
+    K = int(target, base)
+    for n, (d, top) in enumerate(leading_table(base)[: budget + 1]):
+        if d >= m and top // base ** (min(d, 4) - m) == K:
+            return n
+    return None
+
+
+def test_leading_table_oracle_agrees_with_format():
+    for n, (d, top) in enumerate(leading_table(16)[:200]):
+        text = format(math.factorial(n), "x")
+        assert (d, format(top, "x")) == (len(text), text[:4])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_leading_digits_match_an_exact_oracle(data):
+    base = data.draw(st.integers(2, 36), label="base")
+    m = data.draw(st.integers(1, 4), label="m")
+    first = data.draw(st.integers(1, base - 1))
+    rest = data.draw(st.lists(st.integers(0, base - 1), min_size=m - 1, max_size=m - 1))
+    target = "".join(DIGIT_LABELS[d] for d in [first] + rest)
+    budget = data.draw(st.integers(0, 1500), label="budget")
+    assert leading_digits_search(base, target, budget) == first_leading(base, target, budget)
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1])
+def test_leading_digits_where_frac_is_near_0_or_1(monkeypatch, sign):
+    # 1, 10, 100 start the window at frac 0 and b-1 repeated ends it at 1. Every
+    # frac is also moved by half the walk's bound, wrapping at 0 and 1: 0! = 1
+    # then reads as frac just under 1, and "1" is found only past the wrap.
+    walk = factorial_word._log_factorial_fracs
+
+    def moved(base, n_max):
+        delta = sign * _frac_error_bound(base, n_max) / 2
+        return ((frac + delta) % 1.0 for frac in walk(base, n_max))
+
+    monkeypatch.setattr(factorial_word, "_log_factorial_fracs", moved)
+    for base in (2, 10, 16):
+        top = DIGIT_LABELS[base - 1]
+        for target in ("1", "10", "100", top, top * 2, top * 3):
+            expected = first_leading(base, target, 3000)
+            assert leading_digits_search(base, target, 3000) == expected, (base, target)
+
+
+def leading_decimal_digits(n, count):
+    """First `count` decimal digits of n!, by one integer division."""
+    f = math.factorial(n)
+    digits = math.floor(math.lgamma(n + 1) / math.log(10)) + 1
+    head = f // 10 ** (digits - count)
+    assert 10 ** (count - 1) <= head < 10 ** count  # the digit count was right
+    return head
+
+
+def test_leading_digits_large_hit():
+    target = str(leading_decimal_digits(100_000, 7))
+    n = leading_digits_search(10, target, 100_000)
+    assert n is not None and n <= 100_000
+    assert str(leading_decimal_digits(n, 7)) == target
+
+
 def test_leading_digits_rejects_leading_zero():
     with pytest.raises(DomainError):
         leading_digits_search(10, "099", 100)
@@ -320,6 +405,25 @@ def test_weyl_histogram_accounts_for_every_index():
 def test_weyl_error_bound_is_small():
     report = logfactorial_equidistribution(10, 10_000)
     assert 0 < report.summation_error_bound < 1e-6
+
+
+@pytest.mark.parametrize("base", [2, 10, 36])
+def test_log_factorial_fracs_within_bound_of_mpmath(base):
+    # frac(loggamma(n + 1) / ln b) at 40 digits, at every 997th n <= 2e5
+    n_max = 200_000
+    worst = 0.0
+    with mpmath.workdps(40):
+        ln_base = mpmath.log(base)
+        for n, frac in enumerate(_log_factorial_fracs(base, n_max)):
+            if n % 997:
+                continue
+            exact = mpmath.loggamma(n + 1) / ln_base
+            err = abs(mpmath.mpf(frac) - (exact - mpmath.floor(exact)))
+            err = min(err, 1 - err)  # wrap-around at 0 and 1
+            worst = max(worst, float(err) / _frac_error_bound(base, n))
+    assert worst <= 1.0
+    assert logfactorial_equidistribution(base, n_max).summation_error_bound == \
+        _frac_error_bound(base, n_max)
 
 
 def test_weyl_single_point():
