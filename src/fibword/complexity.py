@@ -39,57 +39,62 @@ def _check_profile_args(w: Word, n_max: int) -> None:
 def factor_complexity(w: Word, n_max: int) -> ComplexityProfile:
     """Count distinct length-n factors of w for each n in 1..n_max.
 
-    All lengths are read off one suffix automaton of w (Blumer et al.,
-    TCS 40, 1985), built in O(len(w)) states and transitions.
+    The suffixes of w are sorted by their first n_max symbols with
+    Karp-Miller-Rosenberg prefix doubling, as in Manber-Myers suffix-array
+    construction (SIAM J. Comput. 22, 1993), stopping at the first length
+    2^k >= n_max or once every suffix is told apart. Each adjacent pair's
+    longest common prefix then gives p(n) = (len(w) - n + 1) - #{pairs with
+    lcp >= n}. That takes at most ceil(log2 n_max) stable re-sorts and keeps
+    one int32 rank per symbol for each level.
     """
     _check_profile_args(w, n_max)
-    counts = _factor_counts_automaton(w.data, n_max)
+    counts = _factor_counts(w.data, n_max)
     return ComplexityProfile("factor", tuple(counts), len(w), len(w.alphabet))
 
 
-def _factor_counts_automaton(data: bytes, n_max: int) -> list[int]:
-    # Suffix automaton; each non-initial state contributes one distinct factor
-    # for every length in (len(link(v)), len(v)].
-    length = [0]
-    link = [-1]
-    trans: list[dict[int, int]] = [{}]
-    last = 0
-    for c in data:
-        cur = len(length)
-        length.append(length[last] + 1)
-        link.append(-1)
-        trans.append({})
-        p = last
-        while p != -1 and c not in trans[p]:
-            trans[p][c] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = trans[p][c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[q])
-                trans.append(dict(trans[q]))
-                while p != -1 and trans[p].get(c) == q:
-                    trans[p][c] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-    diff = [0] * (len(data) + 2)
-    for v in range(1, len(length)):
-        diff[length[link[v]] + 1] += 1
-        diff[length[v] + 1] -= 1
-    counts = []
-    run = 0
-    for n in range(1, n_max + 1):
-        run += diff[n]
-        counts.append(run)
-    return counts
+def _factor_counts(data: bytes, n_max: int) -> list[int]:
+    import numpy as np
+
+    L = len(data)
+    # rank[i] names the first h symbols of the suffix at i; a suffix shorter
+    # than h sorts before its extensions, and rank[L] = -1 marks the end
+    rank = np.empty(L + 1, dtype=np.int32)
+    rank[:L] = np.frombuffer(data, dtype=np.uint8)
+    rank[L] = -1
+    order = np.argsort(rank[:L], kind="stable").astype(np.int32)
+    key = rank[order]
+    tied = key[1:] == key[:-1]  # adjacent suffixes in order share h symbols
+    levels = []
+    h = 1
+    while h < n_max and tied.any():
+        levels.append(rank)
+        # the suffixes by the rank of their next h symbols: those that end
+        # within h first, then the old order shifted back by h
+        second = np.concatenate((np.arange(L - h, L, dtype=np.int32),
+                                 order[order >= h] - h))
+        key = rank[second]
+        by_first = np.argsort(key, kind="stable")
+        order = second[by_first]
+        key = key[by_first]
+        nxt = rank[np.minimum(order + h, L)]
+        tied = (key[1:] == key[:-1]) & (nxt[1:] == nxt[:-1])
+        rank = np.empty(L + 1, dtype=np.int32)
+        rank[L] = -1
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(~tied, dtype=np.int32)
+        h *= 2
+    # a tied pair shares at least h >= n_max symbols; an untied pair's common
+    # prefix is shorter than h and is found by binary lifting over the levels
+    apart = np.flatnonzero(~tied)
+    a, b = order[apart], order[apart + 1]
+    lcp = np.zeros(len(apart), dtype=np.int32)
+    for j in reversed(range(len(levels))):
+        lcp += (levels[j][a + lcp] == levels[j][b + lcp]) << j
+    np.minimum(lcp, n_max, out=lcp)
+    at_least = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[::-1])[::-1]
+    ties = len(tied) - len(apart)
+    n = np.arange(1, n_max + 1)
+    return (L - n + 1 - ties - at_least[1:]).tolist()
 
 
 def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:

@@ -24,7 +24,10 @@ def _occurrence_prefix(data: bytes, s: int) -> np.ndarray:
     The length-n windows hold prefix[n:] - prefix[:-n] occurrences, by start.
     """
     occ = np.frombuffer(data, dtype=np.uint8) == s
-    return np.concatenate([[0], np.cumsum(occ, dtype=np.int64)])
+    # int32 halves the bytes that each of balance_check's per-n passes reads
+    prefix = np.zeros(len(data) + 1, dtype=np.int32)
+    np.cumsum(occ, dtype=np.int32, out=prefix[1:])
+    return prefix
 
 
 def window_frequency_sup(w: Word, symbol: "int | str", n: int) -> Fraction:

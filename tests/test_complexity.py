@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from fibword import (
     square_free_words,
     ternary_alphabet,
     thue_morse_morphism,
+    tribonacci_morphism,
 )
 from fibword import complexity, verify
 
@@ -84,6 +86,124 @@ def test_factor_complexity_property(w):
     assert factor_complexity(w, len(w)).counts == windows_oracle(w.data, len(w))
 
 
+def _factor_counts_automaton(data: bytes, n_max: int) -> list[int]:
+    # Suffix automaton; each non-initial state contributes one distinct factor
+    # for every length in (len(link(v)), len(v)].
+    length = [0]
+    link = [-1]
+    trans: list[dict[int, int]] = [{}]
+    last = 0
+    for c in data:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(-1)
+        trans.append({})
+        p = last
+        while p != -1 and c not in trans[p]:
+            trans[p][c] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        else:
+            q = trans[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                trans.append(dict(trans[q]))
+                while p != -1 and trans[p].get(c) == q:
+                    trans[p][c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    diff = [0] * (len(data) + 2)
+    for v in range(1, len(length)):
+        diff[length[link[v]] + 1] += 1
+        diff[length[v] + 1] -= 1
+    counts = []
+    run = 0
+    for n in range(1, n_max + 1):
+        run += diff[n]
+        counts.append(run)
+    return counts
+
+
+def assert_matches_automaton(w):
+    """Compare at n_max = 1, len(w) and 2^k - 1, 2^k, 2^k + 1 up to len(w)."""
+    want = tuple(_factor_counts_automaton(w.data, len(w)))
+    edges = {1, len(w)}
+    k = 2
+    while k - 1 <= len(w):
+        edges.update(n for n in (k - 1, k, k + 1) if n <= len(w))
+        k *= 2
+    for n_max in sorted(edges):
+        assert factor_complexity(w, n_max).counts == want[:n_max]
+
+
+def test_factor_complexity_matches_automaton_at_doubling_edges():
+    # long random words over 1-4 letters, some with long repeats, so the
+    # doubling runs many levels; windows_oracle cannot reach these lengths
+    rng = random.Random(15)
+    for _ in range(12):
+        k = rng.randint(1, 4)
+        period = bytes(rng.randrange(k) for _ in range(rng.randint(1, 40)))
+        data = bytearray((period * 5000)[: rng.randint(1000, 5000)])
+        for _ in range(rng.randint(0, 5)):
+            data[rng.randrange(len(data))] = rng.randrange(k)
+        assert_matches_automaton(Word.from_indices(Alphabet("abcd"[:k]), data))
+
+
+@pytest.mark.parametrize("letters, length", [
+    (1, 1), (2, 1), (1, 2), (1, 3000),  # the unary word: no window is ever unique
+    (4, 5000),                          # unique after ~16 symbols: the early stop
+])
+def test_factor_complexity_edge_words(letters, length):
+    rng = random.Random(16)
+    assert_matches_automaton(Word.from_indices(
+        Alphabet("abcd"[:letters]), (rng.randrange(letters) for _ in range(length))))
+
+
+def thue_morse_complexity(n):
+    """p(n) of the Thue-Morse word (Brlek 1989; de Luca-Varricchio 1989).
+
+    p(1) = 2, p(2) = 4, and for n = 2^r + q + 1 with r >= 0 and 0 < q <= 2^r,
+    p(n) = 6 * 2^(r-1) + 4q when q <= 2^(r-1), else 8 * 2^(r-1) + 2q.
+    """
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2 ** r
+    if 2 * q <= 2 ** r:
+        return 3 * 2 ** r + 4 * q
+    return 4 * 2 ** r + 2 * q
+
+
+@pytest.mark.parametrize("morphism, seed, formula", [
+    (fibonacci_morphism, "a", lambda n: n + 1),
+    (tribonacci_morphism, "a", lambda n: 2 * n + 1),
+    (thue_morse_morphism, "0", thue_morse_complexity),
+])
+def test_factor_complexity_closed_forms_at_scale(morphism, seed, formula):
+    w = fixed_point_prefix(morphism(), seed, 100_000)
+    assert factor_complexity(w, 200).counts == tuple(formula(n) for n in range(1, 201))
+
+
+def test_factor_complexity_memory():
+    # the suffix automaton this replaced peaked at 91 MiB on this call
+    w = fixed_point_prefix(thue_morse_morphism(), "0", 200_000)
+    factor_complexity(w[:1000], 200)  # any lazy import happens outside the trace
+    tracemalloc.start()
+    try:
+        factor_complexity(w, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 def test_factor_complexity_rejects_bad_args():
     w = Word.from_string("ab", binary_alphabet())
     with pytest.raises(DomainError):
@@ -94,8 +214,10 @@ def test_factor_complexity_rejects_bad_args():
 
 def test_thue_morse_complexity_start():
     w = fixed_point_prefix(thue_morse_morphism(), "0", 4000)
-    profile = factor_complexity(w, 4)
-    assert profile.counts == (2, 4, 6, 10)
+    profile = factor_complexity(w, 40)
+    assert profile.counts[:4] == (2, 4, 6, 10)
+    assert (profile.counts == windows_oracle(w.data, 40)
+            == tuple(thue_morse_complexity(n) for n in range(1, 41)))
 
 
 def test_sturmian_profile_detection():
