@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import BalanceViolation, DomainError
 from .modfib import fib
-from .words import Word, adjacency_matrix, mbonacci_morphism
+from .words import Word, adjacency_matrix, mbonacci_alphabet, mbonacci_morphism
 
 
 def symbol_frequency(w: Word, symbol: "int | str") -> Fraction:
@@ -215,8 +215,7 @@ def perron_eigenvalue(m: int) -> PerronData:
     The root is found by bisection and polished by Newton steps; the other
     eigenvalues come from the companion matrix and feed the Pisot flag.
     """
-    if m < 2:
-        raise DomainError("m must be at least 2")
+    mbonacci_alphabet(m)  # rejects m outside 2..35 before any root finding
     lo, hi = 1.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

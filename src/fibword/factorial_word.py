@@ -1,7 +1,6 @@
 """The infinite word formed by concatenating 0!, 1!, 2!, ... in base b."""
 
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
@@ -11,50 +10,29 @@ from .errors import BudgetError, DomainError
 from .words import Word, digit_alphabet
 
 
-def to_base_digits(x: int, base: int) -> list[int]:
-    """Digits of x in the given base, most significant first.
-
-    Splits on powers base^(2^i): no str() digit limit and no Python loop per
-    digit, though big-int division keeps the cost about quadratic.
-    """
-    if x < 0:
-        raise DomainError("x must be nonnegative")
-    if base < 2:
-        raise DomainError("base must be at least 2")
-    if x < base:
-        return [x]
-    powers = [base]
-    while powers[-1] * powers[-1] <= x:
-        powers.append(powers[-1] * powers[-1])
-
-    def padded(v: int, k: int) -> list[int]:
-        # exactly 2^k digits of v, where v < powers[k] = base^(2^k)
-        if k == 0:
-            return [v]
-        hi, lo = divmod(v, powers[k - 1])
-        return padded(hi, k - 1) + padded(lo, k - 1)
-
-    def top(v: int, k: int) -> list[int]:
-        # digits of v < powers[k]^2 without leading zeros
-        if k < 0:
-            return [v]
-        hi, lo = divmod(v, powers[k])
-        if hi:
-            return top(hi, k - 1) + padded(lo, k)
-        return top(lo, k - 1)
-
-    return top(x, len(powers) - 1)
-
-
 def factorial_blocks(base: int) -> Iterator[bytes]:
     """The base-b digits of 0!, 1!, 2!, ..., one bytes object per factorial.
 
     Digits are index values of the digit alphabet; joined, the blocks are the
-    factorial word.
+    factorial word. n! is kept as an int64 array of its digits, least
+    significant first, and each block is the previous block's array times n
+    with the carries resolved.
     """
     digit_alphabet(base)  # rejects bases outside 2..36
-    return (bytes(to_base_digits(f, base))
-            for f in accumulate(count(1), operator.mul, initial=1))
+    import numpy as np
+
+    def times(digits, n):
+        digits = digits * n  # digits < 36, so int64 holds this for any n < 2^57
+        while True:
+            carry, digits = np.divmod(digits, base)
+            if not np.count_nonzero(carry):
+                return digits
+            digits[1:] += carry[:-1]
+            if carry[-1]:
+                digits = np.concatenate((digits, carry[-1:]))
+
+    return (digits[::-1].astype(np.uint8).tobytes()
+            for digits in accumulate(count(1), times, initial=np.ones(1, np.int64)))
 
 
 def _chunks(base: int, n_digits: int, overlap: int) -> Iterator[tuple[int, bytes]]:
@@ -140,6 +118,7 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     the block of block_budget!, whichever budget is given. A full census
     needs base^k cells, so the cell budget keeps k honest.
     """
+    alphabet = digit_alphabet(base)
     if k < 1:
         raise DomainError("k must be at least 1")
     if (digit_budget is None) == (block_budget is None):
@@ -148,11 +127,11 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
         raise DomainError("block budget must be nonnegative")
     if digit_budget is not None and digit_budget < k:
         raise DomainError(f"digit budget {digit_budget} cannot hold a length-{k} window")
-    cells = base ** k
     limit = budget("COVERAGE_CELLS")
-    if cells > limit:
-        raise BudgetError(f"base^k = {cells} exceeds the coverage cell budget {limit}")
-    alphabet = digit_alphabet(base)
+    # base >= 2, so k past the bit length of the limit is refused unbuilt
+    if k > limit.bit_length() or base ** k > limit:
+        raise BudgetError(f"base^k = {base}^{k} exceeds the coverage cell budget {limit}")
+    cells = base ** k
     if block_budget is None:
         chunks = (chunk for _, chunk in _chunks(base, digit_budget, 0))
     else:

@@ -319,7 +319,9 @@ def fixed_point_prefix(morph: Morphism, seed: "int | str", length: int) -> Word:
     """First `length` symbols of the fixed point obtained by iterating from seed.
 
     Requires a prolongable seed: image(seed) must start with seed and have
-    length at least 2, so each iteration extends the previous one.
+    length at least 2, so each iteration extends the previous one. The fixed
+    point x = image(x) is read off itself: image(x[0]), then image(x[1]),
+    image(x[2]), ...
     """
     if length < 0:
         raise DomainError("length must be nonnegative")
@@ -331,12 +333,14 @@ def fixed_point_prefix(morph: Morphism, seed: "int | str", length: int) -> Word:
             f"morphism is not prolongable on {morph.source.label(s)!r}: "
             "image must start with the seed and have length >= 2"
         )
-    w = Word.from_indices(morph.source, [s])
-    if length == 0:
-        return Word(morph.source)
-    while len(w) < length:
-        w = morph.apply(w)
-    return w[:length]
+    images = [img.data for img in morph.images]
+    out = bytearray(images[s])
+    i = 1
+    while len(out) < length:
+        # images are nonempty, so out is always longer than i
+        out += images[out[i]]
+        i += 1
+    return Word(morph.source, out[:length])
 
 
 def adjacency_matrix(morph: Morphism) -> list[list[int]]:

@@ -259,6 +259,20 @@ def test_fword_blocks_conflicts_are_usage_errors(capsys):
         assert all(flag in error["error"] for flag in flags)
 
 
+def test_fword_coverage_checks_base_before_cells(capsys):
+    code, out, err = run(capsys, "fword", "--base", "100", "--coverage", "5", "--digits", "100")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "domain" and "base" in error["error"]
+
+
+def test_fword_coverage_huge_k_is_a_budget_error(capsys):
+    code, out, err = run(capsys, "fword", "--coverage", "3000000", "--blocks", "5")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "resource" and "10^3000000" in error["error"]
+
+
 def test_leading_command(capsys):
     code, payload = run_json(
         capsys, "leading", "--target", "99", "--n-budget", "1000"

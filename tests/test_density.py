@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,16 @@ def test_perron_matches_adjacency_matrix():
 def test_perron_rejects_bad_m():
     with pytest.raises(DomainError):
         perron_eigenvalue(1)
+
+
+def test_perron_rejects_large_m_before_root_finding(monkeypatch):
+    def no_roots(coeffs):
+        raise AssertionError("np.roots reached")
+
+    monkeypatch.setattr(numpy, "roots", no_roots)
+    for m in (36, 1200):
+        with pytest.raises(DomainError, match="between 2 and 35"):
+            perron_eigenvalue(m)
 
 
 def test_tribonacci_prefix_frequencies_approach_perron_data():

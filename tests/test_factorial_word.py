@@ -18,7 +18,6 @@ from fibword import (
     factorial_word_prefix,
     leading_digits_search,
     logfactorial_equidistribution,
-    to_base_digits,
 )
 from fibword import factorial_word
 from fibword.factorial_word import _frac_error_bound, _log_factorial_fracs
@@ -40,39 +39,6 @@ def digits_by_divmod(x, base):
     return out[::-1]
 
 
-def test_to_base_digits_small():
-    assert to_base_digits(0, 10) == [0]
-    assert to_base_digits(7, 2) == [1, 1, 1]
-    assert to_base_digits(255, 16) == [15, 15]
-    assert to_base_digits(10 ** 6, 10) == [1, 0, 0, 0, 0, 0, 0]
-
-
-def test_to_base_digits_matches_divmod_oracle():
-    rng = random.Random(31)
-    for _ in range(500):
-        base = rng.choice((2, 3, 7, 10, 16, 36))
-        x = rng.randrange(0, 10 ** rng.randrange(1, 40))
-        assert to_base_digits(x, base) == digits_by_divmod(x, base)
-
-
-def test_to_base_digits_huge_value_roundtrip():
-    x = math.factorial(300)
-    digits = to_base_digits(x, 10)
-    assert int("".join(map(str, digits))) == x
-    assert digits[0] != 0
-    back = 0
-    for d in to_base_digits(x, 7):
-        back = back * 7 + d
-    assert back == x
-
-
-def test_to_base_digits_rejects_bad_input():
-    with pytest.raises(DomainError):
-        to_base_digits(-1, 10)
-    with pytest.raises(DomainError):
-        to_base_digits(5, 1)
-
-
 # ---------------------------------------------------------------------------
 # the stream
 
@@ -85,16 +51,26 @@ def test_prefix_is_frozen_constant():
 
 def test_stream_blocks_are_factorials():
     """Block n of the stream is the base-b expansion of n!."""
-    for base in (2, 10, 16):
-        blocks = islice(factorial_blocks(base), 121)
+    for base in range(2, 37):
+        blocks = islice(factorial_blocks(base), 301)
         for n, block in enumerate(blocks):
-            assert list(block) == to_base_digits(math.factorial(n), base)
+            assert list(block) == digits_by_divmod(math.factorial(n), base)
 
 
 def test_stream_block_audit_large_n():
     # a deeper single probe near the audit ceiling
     block = next(islice(factorial_blocks(10), 500, None))
-    assert list(block) == to_base_digits(math.factorial(500), 10)
+    assert list(block) == digits_by_divmod(math.factorial(500), 10)
+
+
+def test_stream_blocks_deep_in_binary_and_hex():
+    # long runs of the top digit make carries ripple over many passes;
+    # format() gives an independent expansion of n! in bases 2 and 16
+    for base, spec, n_max in ((2, "b", 600), (16, "x", 1500)):
+        for n, block in enumerate(islice(factorial_blocks(base), n_max + 1)):
+            if n % 50 == 0 or n > n_max - 10:
+                text = "".join("0123456789abcdef"[d] for d in block)
+                assert text == format(math.factorial(n), spec)
 
 
 def test_stream_is_deterministic_across_chunkings():
@@ -253,6 +229,10 @@ def test_coverage_budget_arguments():
         coverage_profile(10, 9, 100)  # 10^9 cells exceeds the cell budget
     with pytest.raises(DomainError):
         coverage_profile(10, 0, 100)
+    with pytest.raises(DomainError):
+        coverage_profile(100, 5, 100)  # a bad base, though 100^5 cells is over budget too
+    with pytest.raises(BudgetError, match=r"10\^3000000 exceeds"):
+        coverage_profile(10, 3_000_000, block_budget=5)  # refused without building 10^k
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,35 @@ def test_fixed_point_needs_prolongable_seed():
 def test_fixed_point_prefix_lengths():
     for n in (0, 1, 2, 50):
         assert len(fixed_point_prefix(fibonacci_morphism(), "a", n)) == n
+
+
+def iterate_to_length(morph, seed, length):
+    # oracle: apply the morphism to the whole word until it is long enough
+    w = Word.from_string(seed, morph.source)
+    while len(w) < length:
+        w = morph.apply(w)
+    return w[:length]
+
+
+def test_fixed_point_prefix_matches_iterated_images():
+    rng = random.Random(12)
+    morphs = [(fibonacci_morphism(), "a"), (thue_morse_morphism(), "1"),
+              (tribonacci_morphism(), "a"), (Morphism.from_rules("a->aab,b->bba"), "b")]
+    morphs += [(mbonacci_morphism(m), "1") for m in (2, 6, 35)]
+    for morph, seed in morphs:
+        for length in (0, 1, 2, 3, 10, 1000, rng.randrange(1, 5000)):
+            assert fixed_point_prefix(morph, seed, length) == iterate_to_length(morph, seed, length)
+
+
+def test_fixed_point_prefix_memory():
+    # applying the morphism to the whole word peaked at 72 MiB here
+    tracemalloc.start()
+    try:
+        fixed_point_prefix(fibonacci_morphism(), "a", 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_tribonacci_iterates():
