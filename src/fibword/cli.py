@@ -307,7 +307,6 @@ def cmd_frequency(args) -> int:
     if report.target is not None:
         payload["target"] = report.target
         payload["max_deviation"] = report.max_deviation
-        payload["tolerance"] = 1e-12
         lines.append(f"deviation from {report.target:.10f}: {report.max_deviation:.3e}")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -329,7 +328,6 @@ def cmd_balance(args) -> int:
         "worst_n": report.worst_n,
         "worst_position": report.worst_position,
         "worst_deviation": report.worst_deviation,
-        "tolerance": 1e-12,
     }
     lines = [
         f"checked window lengths {args.n_min}..{args.n_max} (step {args.step})",

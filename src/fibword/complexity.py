@@ -194,21 +194,6 @@ class SquareFreeCensus:
     counts: tuple[int, ...]
     terminated: bool  # True when the census ran until a(n) reached 0
 
-    @property
-    def n_max(self) -> int:
-        return len(self.counts) - 1
-
-    def count(self, n: int) -> int:
-        if not 0 <= n < len(self.counts):
-            raise DomainError(f"census covers 0..{self.n_max}, got n={n}")
-        return self.counts[n]
-
-    def growth_estimate(self, n: int) -> float:
-        """a(n) ** (1/n), a crude view of the exponential growth rate."""
-        if n < 1:
-            raise DomainError("growth estimates need n >= 1")
-        return self.count(n) ** (1.0 / n)
-
 
 def square_free_census(alphabet_size: int, n_max: int | None = None,
                        workers: int = 1) -> SquareFreeCensus:
@@ -253,14 +238,6 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
         counts = counts[: first_zero + 1]
         terminated = True
     return SquareFreeCensus(alphabet_size, tuple(counts), terminated)
-
-
-def count_square_free(alphabet_size: int, n: int) -> int:
-    """Number of square-free words of length exactly n over the given alphabet."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    census = square_free_census(alphabet_size, n)
-    return census.counts[n] if n < len(census.counts) else 0
 
 
 def square_free_words(alphabet_size: int, max_len: int | None = None) -> list[Word]:

@@ -51,7 +51,11 @@ class FrequencyReport:
 
 def frequency_report(w: Word, symbol: "int | str", window: int | None = None,
                      target: float | None = None) -> FrequencyReport:
-    """Global frequency of a symbol, with optional window sup and target deviation."""
+    """Global frequency of a symbol, with optional window sup and target deviation.
+
+    The deviation is taken exactly, with the float target read as the
+    rational it represents, and rounded once.
+    """
     if target is not None and not math.isfinite(target):
         raise DomainError(f"target must be a finite number, got {target}")
     s = w.alphabet.as_index(symbol)
@@ -59,9 +63,8 @@ def frequency_report(w: Word, symbol: "int | str", window: int | None = None,
     sup = window_frequency_sup(w, s, window) if window is not None else None
     dev = None
     if target is not None:
-        dev = abs(float(freq) - target)
-        if sup is not None:
-            dev = max(dev, abs(float(sup) - target))
+        exact = Fraction(target)
+        dev = float(max(abs(q - exact) for q in (freq, sup) if q is not None))
     return FrequencyReport(w.alphabet.label(s), len(w), freq, window, sup, target, dev)
 
 

@@ -1,7 +1,7 @@
 """The infinite word formed by concatenating 0!, 1!, 2!, ... in base b."""
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 
@@ -35,23 +35,30 @@ def factorial_blocks(base: int) -> Iterator[bytes]:
             for digits in accumulate(count(1), times, initial=np.ones(1, np.int64)))
 
 
-def _chunks(base: int, n_digits: int, overlap: int) -> Iterator[tuple[int, bytes]]:
-    """The first n_digits of the stream as (position, chunk), one per factorial.
-
-    Each chunk starts with the last `overlap` digits of the chunk before, so
-    every window of overlap + 1 digits lies whole inside one chunk; position
-    is where the chunk's first digit sits in the stream.
-    """
-    tail = b""
+def _prefix_blocks(base: int, n_digits: int) -> Iterator[bytes]:
+    """The blocks of the stream, the last one cut where the first n_digits end."""
     read = 0
     for block in factorial_blocks(base):
-        block = block[: n_digits - read]
-        chunk = tail + block
-        yield read - len(tail), chunk
+        yield block[: n_digits - read]
         read += len(block)
         if read >= n_digits:
             return
+
+
+def _chunks(blocks: Iterable[bytes], overlap: int) -> Iterator[tuple[int, bytes]]:
+    """The blocks as (position, chunk), each chunk led by the last `overlap`
+    digits of the chunk before.
+
+    Every window of overlap + 1 digits thus lies whole inside exactly one
+    chunk; position is where the chunk's first digit sits in the stream.
+    """
+    tail = b""
+    position = 0
+    for block in blocks:
+        chunk = tail + block
+        yield position, chunk
         tail = chunk[-overlap:] if overlap else b""
+        position += len(chunk) - len(tail)
 
 
 def factorial_word_prefix(base: int, n_digits: int) -> Word:
@@ -59,7 +66,7 @@ def factorial_word_prefix(base: int, n_digits: int) -> Word:
     if n_digits < 0:
         raise DomainError("n_digits must be nonnegative")
     alphabet = digit_alphabet(base)
-    return Word(alphabet, b"".join(chunk for _, chunk in _chunks(base, n_digits, 0)))
+    return Word(alphabet, b"".join(_prefix_blocks(base, n_digits)))
 
 
 def factor_search(base: int, target: "Word | str", digit_budget: int) -> int | None:
@@ -78,7 +85,7 @@ def factor_search(base: int, target: "Word | str", digit_budget: int) -> int | N
     if digit_budget < 1:
         raise DomainError("digit budget must be positive")
     needle = target.data
-    for position, chunk in _chunks(base, digit_budget, len(needle) - 1):
+    for position, chunk in _chunks(_prefix_blocks(base, digit_budget), len(needle) - 1):
         hit = chunk.find(needle)
         if hit != -1:
             return position + hit
@@ -102,13 +109,6 @@ class CoverageReport:
         return self.found == self.total
 
 
-def digits_through_block(base: int, n: int) -> int:
-    """Total stream digits contributed by the blocks 0!, 1!, ..., n!."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return sum(map(len, islice(factorial_blocks(base), n + 1)))
-
-
 def coverage_profile(base: int, k: int, digit_budget: int | None = None,
                      block_budget: int | None = None,
                      track_positions: bool = False) -> CoverageReport:
@@ -116,7 +116,8 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
 
     The prefix is either the first digit_budget digits or everything through
     the block of block_budget!, whichever budget is given. A full census
-    needs base^k cells, so the cell budget keeps k honest.
+    needs base^k cells, so the cell budget keeps k honest. Each chunk's
+    windows are named base^(k-1) d_0 + ... + d_(k-1) in int64 at once.
     """
     alphabet = digit_alphabet(base)
     if k < 1:
@@ -131,40 +132,45 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     # base >= 2, so k past the bit length of the limit is refused unbuilt
     if k > limit.bit_length() or base ** k > limit:
         raise BudgetError(f"base^k = {base}^{k} exceeds the coverage cell budget {limit}")
+    import numpy as np
+
     cells = base ** k
     if block_budget is None:
-        chunks = (chunk for _, chunk in _chunks(base, digit_budget, 0))
+        blocks = _prefix_blocks(base, digit_budget)
     else:
-        chunks = islice(factorial_blocks(base), block_budget + 1)
-    seen = bytearray(cells)
-    first: dict[int, int] = {}
-    idx = 0
-    high = base ** (k - 1)
+        blocks = islice(factorial_blocks(base), block_budget + 1)
+    seen = np.zeros(cells, dtype=bool)
+    new_cells, new_positions = [], []
     consumed = 0
-    for chunk in chunks:
-        for d in chunk:
-            idx = (idx % high) * base + d
-            consumed += 1
-            if consumed >= k and not seen[idx]:
-                seen[idx] = 1
-                if track_positions:
-                    first[idx] = consumed - k
+    for position, chunk in _chunks(blocks, k - 1):
+        consumed = position + len(chunk)
+        windows = len(chunk) - k + 1
+        if windows < 1:
+            continue
+        digits = np.frombuffer(chunk, dtype=np.uint8)
+        names = digits[:windows].astype(np.int64)
+        for j in range(1, k):
+            names *= base
+            names += digits[j : j + windows]
+        if track_positions:
+            names, at = np.unique(names, return_index=True)
+            new = ~seen[names]
+            new_cells.append(names[new])
+            new_positions.append(position + at[new])
+        seen[names] = True
     if consumed < k:  # only a block budget gets here
         raise DomainError(f"digit budget {consumed} cannot hold a length-{k} window")
-    found = sum(seen)
-    missing = []
-    if found < cells:
-        for cell in range(cells):
-            if not seen[cell]:
-                missing.append(_decode_cell(cell, base, k, alphabet))
-                if len(missing) >= 20:
-                    break
+    found = int(np.count_nonzero(seen))
+    # at most `found` of the first found + 20 cells are seen
+    missing = tuple(_decode_cell(int(cell), base, k, alphabet)
+                    for cell in np.flatnonzero(~seen[: found + 20])[:20])
     positions = None
     if track_positions:
-        positions = {
-            _decode_cell(cell, base, k, alphabet): pos for cell, pos in first.items()
-        }
-    return CoverageReport(base, k, consumed, found, cells, tuple(missing), positions)
+        new_cells, new_positions = np.concatenate(new_cells), np.concatenate(new_positions)
+        order = np.argsort(new_positions)  # in stream order, as the search meets them
+        positions = {_decode_cell(cell, base, k, alphabet): pos for cell, pos in
+                     zip(new_cells[order].tolist(), new_positions[order].tolist())}
+    return CoverageReport(base, k, consumed, found, cells, missing, positions)
 
 
 def _decode_cell(cell: int, base: int, k: int, alphabet) -> str:

@@ -4,7 +4,7 @@ Periods and ranks come from order reduction: Wall (Amer. Math. Monthly 67,
 1960) shows pi(q^k) divides q^(k-1) pi(q), and pi(q) divides q - 1 or
 2(q + 1) for a prime q != 2, 5. Fast doubling tests each divisor in
 O(log m) multiplications, so no period is walked. The only walk left is the
-residue walk behind the densities, done in numpy blocks.
+residue walk behind the densities, done in numpy blocks for every modulus.
 """
 
 from dataclasses import dataclass
@@ -272,8 +272,11 @@ def _shift(f: np.ndarray, g: np.ndarray, a: int, b: int, m: int) -> np.ndarray:
 
 
 def _base_block(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(j) and F(j - 1) mod m for j = 0..size + 1, built by doubling."""
-    f = np.array([0, 1], dtype=np.uint64)
+    """F(j) and F(j - 1) mod m for j = 0..size + 1, built by doubling.
+
+    In uint64 up to _NUMPY_MODULUS, above it in object arrays of Python ints.
+    """
+    f = np.array([0, 1], dtype=np.uint64 if m <= _NUMPY_MODULUS else object)
     while len(f) < size + 2:
         a = (int(f[-1]) + int(f[-2])) % m        # F(L) for L = len(f)
         f = np.concatenate((f, _shift(f, _previous(f), a, (a + int(f[-1])) % m, m)))
@@ -289,27 +292,23 @@ def _previous(f: np.ndarray) -> np.ndarray:
 
 
 def _fib_blocks(m: int, start: int, steps: int):
-    """Yield F(start), ..., F(start + steps - 1) mod m in int64 blocks, m >= 2.
+    """Yield F(start), ..., F(start + steps - 1) mod m in blocks, m >= 2.
 
     A block is at most min(_BLOCK, m) values long, so a caller that stops at
-    the first return to (0, 1) walks little past it. Moduli above
-    _NUMPY_MODULUS are walked one step at a time in Python ints.
+    the first return to (0, 1) walks little past it. Blocks are int64 up to
+    m = 2^63 (int64 indexes faster than uint64) and object arrays above.
     """
     a, b = fib_pair_mod(start, m)
     size = min(_BLOCK, m, steps)
-    if m > _NUMPY_MODULUS:
-        while steps > 0:
-            out = []
-            for _ in range(min(steps, size)):
-                out.append(a)
-                a, b = b, (a + b) % m
-            steps -= len(out)
-            yield np.array(out, dtype=np.int64 if m <= 2 ** 63 else object)
-        return
     f, g = _base_block(m, size)
     while steps > 0:
         n = min(steps, size)
-        yield _shift(f[:n], g[:n], a, b, m).view(np.int64)   # indexes faster than uint64
+        block = _shift(f[:n], g[:n], a, b, m)
+        if m <= _NUMPY_MODULUS:
+            block = block.view(np.int64)
+        elif m <= 2 ** 63:
+            block = block.astype(np.int64)
+        yield block
         a, b = ((int(f[n]) * b + int(g[n]) * a) % m,
                 (int(f[n + 1]) * b + int(f[n]) * a) % m)
         steps -= n

@@ -15,7 +15,6 @@ from fibword import (
     Word,
     arithmetic_complexity,
     binary_alphabet,
-    count_square_free,
     delta_apply,
     delta_factorize,
     delta_morphism,
@@ -416,27 +415,32 @@ def test_census_budget_does_not_depend_on_workers(workers, monkeypatch):
         square_free_census(3, 24, workers)
 
 
+def count_square_free(alphabet_size, n):
+    """a(n) alone, read off a census that stops at n (0 once the words die out)."""
+    counts = square_free_census(alphabet_size, n).counts
+    return counts[n] if n < len(counts) else 0
+
+
 def test_count_square_free_single_lengths():
     assert count_square_free(3, 5) == 30
     assert count_square_free(2, 7) == 0
     assert count_square_free(3, 0) == 1
 
 
-def test_count_square_free_budget_comes_from_environment(monkeypatch):
+def test_census_budget_comes_from_environment(monkeypatch):
     monkeypatch.setenv("FIBWORD_CENSUS_NODES", "1000")
     with pytest.raises(BudgetError):
-        count_square_free(3, 24)
-    # no argument is ever read as a budget
+        square_free_census(3, 24)
+    # no argument is ever read as a budget: workers does not lift it
+    with pytest.raises(BudgetError):
+        square_free_census(3, 24, 1000)
     with pytest.raises(TypeError):
-        count_square_free(3, 24, 1000)
-    with pytest.raises(TypeError):
-        count_square_free(3, 24, node_budget=1000)
+        square_free_census(3, 24, node_budget=1000)
 
 
 def test_growth_estimate():
-    census = square_free_census(3, 20)
-    rate = census.growth_estimate(20)
-    # known growth constant is about 1.3018
+    # a(n) ** (1/n) approaches the growth constant, about 1.3018
+    rate = square_free_census(3, 20).counts[20] ** (1 / 20)
     assert 1.25 < rate < 1.55
 
 

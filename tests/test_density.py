@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,23 @@ def test_frequency_report_fields():
     assert rep.global_frequency == Fraction(2584, 6765)
     assert rep.window_sup is not None and rep.window_sup <= Fraction(1, 2)
     assert rep.max_deviation is not None and rep.max_deviation < 0.02
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=60), st.data(),
+       st.floats(-2.0, 2.0))
+def test_frequency_report_deviation_is_rounded_once(letters, data, target):
+    w = Word.from_indices(binary_alphabet(), letters)
+    window = data.draw(st.none() | st.integers(1, len(w)), label="window")
+    rep = frequency_report(w, "b", window=window, target=target)
+    freqs = [rep.global_frequency] + ([rep.window_sup] if window else [])
+    # the deviation to 2000 bits, far closer than any rounding tie of a
+    # denominator <= 60; unary + then rounds it to nearest at 53 bits
+    with mpmath.workprec(2000):
+        exact = max(abs(mpmath.mpf(q.numerator) / q.denominator - mpmath.mpf(target))
+                    for q in freqs)
+    with mpmath.workprec(53):
+        assert rep.max_deviation == float(+exact)
 
 
 @pytest.mark.parametrize("target", (float("nan"), float("inf"), float("-inf")))

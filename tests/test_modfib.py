@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -382,15 +383,25 @@ def test_lucas_zeros_and_density_match_walks_for_primes_below_3000():
 
 @settings(max_examples=30)
 @given(st.sampled_from([p for p in PRIMES_BELOW_3000 if p not in (2, 5)]))
-def test_scalar_walk_matches_numpy_walk(p):
-    """Moduli too large for uint64 blocks take the scalar walk; force it here."""
+def test_object_walk_matches_numpy_walk(p):
+    """Moduli too large for uint64 blocks walk object arrays; force that walk here,
+    then walk two such moduli, one past 2^63, in blocks of 64 against fib_mod."""
     want = density_formula(p), residue_density_bruteforce(p, 1)
-    original = modfib._NUMPY_MODULUS
+    original = modfib._NUMPY_MODULUS, modfib._BLOCK
     modfib._NUMPY_MODULUS = 1
     try:
         assert (density_formula(p), residue_density_bruteforce(p, 1)) == want
+        modfib._NUMPY_MODULUS, modfib._BLOCK = original[0], 64
+        for m, dtype in ((2 ** 63 - p, np.int64), (2 ** 64 + p, object)):
+            assert original[0] < m
+            start = p ** 3
+            blocks = list(modfib._fib_blocks(m, start, 200))
+            assert [len(block) for block in blocks] == [64, 64, 64, 8]
+            assert all(block.dtype == dtype for block in blocks)
+            assert [int(v) for v in np.concatenate(blocks)] == \
+                [fib_mod(i, m) for i in range(start, start + 200)]
     finally:
-        modfib._NUMPY_MODULUS = original
+        modfib._NUMPY_MODULUS, modfib._BLOCK = original
 
 
 @pytest.mark.parametrize("p,lam", [(2, 5), (3, 4), (7, 3), (19, 2), (101, 2), (211, 2)])
