@@ -212,24 +212,27 @@ def cmd_sturmian(args) -> int:
 
 def cmd_squarefree(args) -> int:
     if args.test is not None:
+        if args.n_max is not None or args.alphabet_size is not None:
+            raise UsageError("--test checks one word; it takes no --n-max or --alphabet-size")
         labels = "".join(sorted(set(args.test))) or "a"
         w = words.Word.from_string(args.test, words.Alphabet(labels))
         ok = complexity.is_square_free(w)
         payload = {"command": "squarefree", "word": args.test, "square_free": ok}
         _emit(args, payload, ["square-free" if ok else "contains a square"])
         return EXIT_OK
+    k = 3 if args.alphabet_size is None else args.alphabet_size
     if args.list:
-        found = complexity.square_free_words(args.alphabet_size, args.n_max)
+        found = complexity.square_free_words(k, args.n_max)
         names = sorted(str(w) for w in found)
         payload = {
             "command": "squarefree",
-            "alphabet_size": args.alphabet_size,
+            "alphabet_size": k,
             "words": names,
             "count": len(names),
         }
         _emit(args, payload, names, [("word",)] + [(n,) for n in names])
         return EXIT_OK
-    census = complexity.square_free_census(args.alphabet_size, args.n_max)
+    census = complexity.square_free_census(k, args.n_max)
     rows = list(enumerate(census.counts))
     payload = {
         "command": "squarefree",
@@ -451,25 +454,20 @@ def cmd_densbrute(args) -> int:
 def cmd_fword(args) -> int:
     payload = {"command": "fword", "base": args.base}
     lines = []
-    csv_rows = None
     if args.blocks is not None:
         if args.coverage is None:
             raise UsageError("--blocks is a budget for --coverage only")
         if args.digits is not None:
             raise UsageError("give --digits or --blocks as the --coverage budget, not both")
     if args.coverage is not None:
-        if args.blocks is not None:
-            report = factorial_word.coverage_profile(
-                args.base, args.coverage, block_budget=args.blocks
-            )
-            payload["block_budget"] = args.blocks
-        else:
-            if args.digits is None:
-                raise UsageError("--coverage needs --digits or --blocks as the budget")
-            report = factorial_word.coverage_profile(
-                args.base, args.coverage, args.digits
-            )
+        if args.digits is None and args.blocks is None:
+            raise UsageError("--coverage needs --digits or --blocks as the budget")
+        report = factorial_word.coverage_profile(args.base, args.coverage, args.digits,
+                                                 args.blocks)
+        if args.blocks is None:
             payload["digit_budget"] = args.digits
+        else:
+            payload["block_budget"] = args.blocks
         payload.update({
             "k": report.k,
             "found": report.found,
@@ -496,7 +494,7 @@ def cmd_fword(args) -> int:
         prefix = factorial_word.factorial_word_prefix(args.base, args.digits)
         payload.update({"digits": args.digits, "prefix": str(prefix)})
         lines.append(str(prefix))
-    _emit(args, payload, lines, csv_rows)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -611,10 +609,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
 
     sp = add("squarefree", cmd_squarefree, "square-free tests, censuses, and listings")
-    sp.add_argument("--test", help="single word to test for squares")
-    sp.add_argument("--alphabet-size", type=int, default=3)
+    one = sp.add_mutually_exclusive_group()
+    one.add_argument("--test", help="single word to test for squares")
+    sp.add_argument("--alphabet-size", type=int, help="letters (default 3)")
     sp.add_argument("--n-max", type=int, help="census horizon (omit on <= 2 letters)")
-    sp.add_argument("--list", action="store_true", help="list the words themselves")
+    one.add_argument("--list", action="store_true", help="list the words themselves")
 
     sp = add("delta", cmd_delta, "apply or invert the block code a->abb, b->ab, c->a")
     sp.add_argument("--apply", metavar="WORD")
@@ -665,9 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("fword", cmd_fword, "digits of the concatenated factorials word")
     sp.add_argument("--base", type=int, default=10)
     sp.add_argument("--digits", type=int, help="prefix length / digit budget")
-    sp.add_argument("--find", metavar="DIGITS", help="search for a digit block")
-    sp.add_argument("--coverage", type=int, metavar="K",
-                    help="audit which length-K blocks appear")
+    task = sp.add_mutually_exclusive_group()
+    task.add_argument("--find", metavar="DIGITS", help="search for a digit block")
+    task.add_argument("--coverage", type=int, metavar="K",
+                      help="audit which length-K blocks appear")
     sp.add_argument("--blocks", type=int, metavar="N",
                     help="coverage budget as a factorial count: scan through n!")
 

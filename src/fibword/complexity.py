@@ -52,17 +52,23 @@ def factor_complexity(w: Word, n_max: int) -> ComplexityProfile:
     return ComplexityProfile("factor", tuple(counts), len(w), len(w.alphabet))
 
 
+_END = 255  # Alphabet caps at 255 labels, so byte 255 is never a symbol
+_ARITH_MAXLEN = 4096  # the residue streams of L symbols hold about L^2 bytes
+
+
 def _factor_counts(data: bytes, n_max: int) -> list[int]:
+    """Distinct length-n factors, n = 1..n_max, of the pieces of data between _END bytes."""
     import numpy as np
 
     L = len(data)
     # rank[i] names the first h symbols of the suffix at i; a suffix shorter
     # than h sorts before its extensions, and rank[L] = -1 marks the end
+    symbols = np.frombuffer(data, dtype=np.uint8)
     rank = np.empty(L + 1, dtype=np.int32)
-    rank[:L] = np.frombuffer(data, dtype=np.uint8)
+    rank[:L] = symbols
     rank[L] = -1
-    order = np.argsort(rank[:L], kind="stable").astype(np.int32)
-    key = rank[order]
+    order = np.argsort(symbols, kind="stable").astype(np.int32)  # a radix sort
+    key = symbols[order]
     tied = key[1:] == key[:-1]  # adjacent suffixes in order share h symbols
     levels = []
     h = 1
@@ -73,11 +79,15 @@ def _factor_counts(data: bytes, n_max: int) -> list[int]:
         second = np.concatenate((np.arange(L - h, L, dtype=np.int32),
                                  order[order >= h] - h))
         key = rank[second]
-        by_first = np.argsort(key, kind="stable")
+        # on 16-bit keys numpy's stable argsort is a radix sort
+        small = rank[order[-1]] < 2 ** 16  # the largest name, order being sorted
+        by_first = np.argsort(key.astype(np.uint16) if small else key, kind="stable")
         order = second[by_first]
-        key = key[by_first]
+        del second, by_first  # only order and tied carry over to the next level
+        key = rank[order]
         nxt = rank[np.minimum(order + h, L)]
         tied = (key[1:] == key[:-1]) & (nxt[1:] == nxt[:-1])
+        del key, nxt
         rank = np.empty(L + 1, dtype=np.int32)
         rank[L] = -1
         rank[order[0]] = 0
@@ -85,16 +95,23 @@ def _factor_counts(data: bytes, n_max: int) -> list[int]:
         h *= 2
     # a tied pair shares at least h >= n_max symbols; an untied pair's common
     # prefix is shorter than h and is found by binary lifting over the levels
+    shared = np.full(len(tied), n_max, dtype=np.int32)
     apart = np.flatnonzero(~tied)
     a, b = order[apart], order[apart + 1]
     lcp = np.zeros(len(apart), dtype=np.int32)
     for j in reversed(range(len(levels))):
         lcp += (levels[j][a + lcp] == levels[j][b + lcp]) << j
-    np.minimum(lcp, n_max, out=lcp)
-    at_least = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[::-1])[::-1]
-    ties = len(tied) - len(apart)
-    n = np.arange(1, n_max + 1)
-    return (L - n + 1 - ties - at_least[1:]).tolist()
+    shared[apart] = lcp
+    del levels, rank, tied, apart, a, b, lcp
+    # left[i] = min(n_max, symbols from i before the next _END); the suffixes
+    # sharing an n-prefix free of _END are adjacent, so p(n) = #{left >= n} -
+    # #{pairs whose common prefix, cut at the second one's _END, is >= n}
+    at = np.arange(L, dtype=np.int32)
+    stop = np.minimum.accumulate(np.where(symbols == _END, at, np.int32(L))[::-1])[::-1]
+    left = np.minimum(stop - at, n_max)
+    np.minimum(shared, left[order[1:]], out=shared)
+    exact = np.bincount(left, minlength=n_max + 1) - np.bincount(shared, minlength=n_max + 1)
+    return np.cumsum(exact[::-1])[::-1][1:].tolist()
 
 
 def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
@@ -103,24 +120,24 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     For each n, a progression is a start i >= 0 and step d >= 1 with all n
     sampled indices below len(w). Restricted to a finite w this is a lower
     bound for the quantity on the corresponding infinite word.
+
+    Every progression with step d is a window of one residue stream
+    data[r::d], so the profile is the factor count of those streams joined
+    by _END. They hold about len(w)^2 bytes, hence the _ARITH_MAXLEN cap.
     """
     _check_profile_args(w, n_max)
     data = w.data
     L = len(data)
-    counts = [len(set(data))]
-    for n in range(2, n_max + 1):
-        span = n - 1
-        seen: set[bytes] = set()
-        add = seen.update
-        for d in range(1, (L - 1) // span + 1):
-            # every progression with step d is a contiguous window of one of
-            # the d residue streams data[r::d]
-            for r in range(d):
-                t = data[r::d]
-                m = len(t) - n + 1
-                if m > 0:
-                    add(t[j : j + n] for j in range(m))
-        counts.append(len(seen))
+    if L > _ARITH_MAXLEN:
+        raise BudgetError(f"arithmetic complexity takes words of at most "
+                          f"{_ARITH_MAXLEN} symbols, got {L}")
+    # streams of one symbol repeat a symbol of the d = 1 stream, data itself;
+    # joining one step at a time keeps few slices alive at once
+    streams = bytearray(data)
+    for d in range(2, L):
+        streams.append(_END)
+        streams += bytes([_END]).join([data[r::d] for r in range(min(d, L - d))])
+    counts = _factor_counts(streams, n_max)
     return ComplexityProfile("arithmetic", tuple(counts), len(w), len(w.alphabet))
 
 

@@ -102,7 +102,6 @@ class CoverageReport:
     found: int
     total: int
     missing_sample: tuple[str, ...]
-    first_positions: dict[str, int] | None = None
 
     @property
     def complete(self) -> bool:
@@ -110,8 +109,7 @@ class CoverageReport:
 
 
 def coverage_profile(base: int, k: int, digit_budget: int | None = None,
-                     block_budget: int | None = None,
-                     track_positions: bool = False) -> CoverageReport:
+                     block_budget: int | None = None) -> CoverageReport:
     """Mark every length-k window in a prefix of the stream.
 
     The prefix is either the first digit_budget digits or everything through
@@ -119,7 +117,7 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     needs base^k cells, so the cell budget keeps k honest. Each chunk's
     windows are named base^(k-1) d_0 + ... + d_(k-1) in int64 at once.
     """
-    alphabet = digit_alphabet(base)
+    digit_alphabet(base)  # rejects bases outside 2..36
     if k < 1:
         raise DomainError("k must be at least 1")
     if (digit_budget is None) == (block_budget is None):
@@ -140,7 +138,6 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     else:
         blocks = islice(factorial_blocks(base), block_budget + 1)
     seen = np.zeros(cells, dtype=bool)
-    new_cells, new_positions = [], []
     consumed = 0
     for position, chunk in _chunks(blocks, k - 1):
         consumed = position + len(chunk)
@@ -152,33 +149,15 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
         for j in range(1, k):
             names *= base
             names += digits[j : j + windows]
-        if track_positions:
-            names, at = np.unique(names, return_index=True)
-            new = ~seen[names]
-            new_cells.append(names[new])
-            new_positions.append(position + at[new])
         seen[names] = True
     if consumed < k:  # only a block budget gets here
         raise DomainError(f"digit budget {consumed} cannot hold a length-{k} window")
     found = int(np.count_nonzero(seen))
-    # at most `found` of the first found + 20 cells are seen
-    missing = tuple(_decode_cell(int(cell), base, k, alphabet)
+    # at most `found` of the first found + 20 cells are seen; a cell's base-b
+    # numeral, digits 0-9 then a-z, is its block
+    missing = tuple(np.base_repr(cell, base).rjust(k, "0").lower()
                     for cell in np.flatnonzero(~seen[: found + 20])[:20])
-    positions = None
-    if track_positions:
-        new_cells, new_positions = np.concatenate(new_cells), np.concatenate(new_positions)
-        order = np.argsort(new_positions)  # in stream order, as the search meets them
-        positions = {_decode_cell(cell, base, k, alphabet): pos for cell, pos in
-                     zip(new_cells[order].tolist(), new_positions[order].tolist())}
-    return CoverageReport(base, k, consumed, found, cells, missing, positions)
-
-
-def _decode_cell(cell: int, base: int, k: int, alphabet) -> str:
-    digits = []
-    for _ in range(k):
-        cell, d = divmod(cell, base)
-        digits.append(alphabet.label(d))
-    return "".join(reversed(digits))
+    return CoverageReport(base, k, consumed, found, cells, missing)
 
 
 def _log_factorial_fracs(base: int, n_max: int) -> Iterator[float]:

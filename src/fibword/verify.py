@@ -164,18 +164,19 @@ def check_square_free_census(seed: int = 0) -> str:
 def check_factorial_word(seed: int = 0) -> str:
     prefix = factorial_word.factorial_word_prefix(10, 21)
     assert str(prefix) == FACTORIAL_PREFIX_21, str(prefix)
-    report = factorial_word.coverage_profile(
-        10, 2, BIGRAM_FULL_COVERAGE_DIGITS, track_positions=True
-    )
+    budget = BIGRAM_FULL_COVERAGE_DIGITS
+    report = factorial_word.coverage_profile(10, 2, budget)
     assert report.complete, f"only {report.found}/100 bigrams at the frozen budget"
-    one_less = factorial_word.coverage_profile(10, 2, BIGRAM_FULL_COVERAGE_DIGITS - 1)
+    one_less = factorial_word.coverage_profile(10, 2, budget - 1)
     assert one_less.found == 99, \
         f"budget minus one should miss exactly one bigram, found {one_less.found}"
-    for factor, pos in report.first_positions.items():
-        want = factorial_word.factor_search(10, factor, BIGRAM_FULL_COVERAGE_DIGITS)
-        assert pos == want, f"coverage puts {factor!r} first at {pos}, the search at {want}"
-    return (f"21-digit prefix matches; all 100 bigrams appear within "
-            f"{BIGRAM_FULL_COVERAGE_DIGITS} digits, each first where the search finds it")
+    first = {f"{i:02d}": factorial_word.factor_search(10, f"{i:02d}", budget)
+             for i in range(100)}
+    assert None not in first.values(), "the search misses a bigram the coverage saw"
+    latest = max(first, key=first.get)
+    assert first[latest] + 2 == budget, f"the last bigram ends at digit {first[latest] + 2}"
+    return (f"21-digit prefix matches; all 100 bigrams appear within {budget} "
+            f"digits, the last ({latest!r}) ending at digit {budget}")
 
 
 def check_delta_palindromes(seed: int = 0) -> str:

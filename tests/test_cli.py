@@ -248,15 +248,26 @@ def test_fword_coverage(capsys):
 
 
 def test_fword_blocks_conflicts_are_usage_errors(capsys):
-    # --blocks never silently gives way to --digits or to a prefix listing
+    # --blocks never silently gives way to --digits or to a prefix listing,
+    # nor --find to --coverage
     cases = {("--coverage", "1", "--digits", "5", "--blocks", "2"): ("--digits", "--blocks"),
-             ("--digits", "5", "--blocks", "2"): ("--blocks", "--coverage")}
+             ("--digits", "5", "--blocks", "2"): ("--blocks", "--coverage"),
+             ("--find", "12", "--coverage", "2", "--digits", "100"): ("--find", "--coverage")}
     for argv, flags in cases.items():
         code, out, err = run(capsys, "fword", *argv)
         assert code == 1 and out == ""
         error = json.loads(err)
         assert error["kind"] == "usage"
         assert all(flag in error["error"] for flag in flags)
+
+
+def test_squarefree_test_takes_no_census_flags(capsys):
+    for flag, *value in (("--list",), ("--n-max", "5"), ("--alphabet-size", "2")):
+        code, out, err = run(capsys, "squarefree", "--test", "abab", flag, *value)
+        assert code == 1 and out == "", flag
+        error = json.loads(err)
+        assert error["kind"] == "usage"
+        assert "--test" in error["error"] and flag in error["error"]
 
 
 def test_fword_coverage_checks_base_before_cells(capsys):
@@ -347,6 +358,14 @@ def test_budget_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "densbrute", "--prime", "19", "--max-level", "3")
     assert code == 2
     assert json.loads(err)["kind"] == "resource"
+
+
+def test_arithmetic_length_cap_exit_code(capsys):
+    code, out, err = run(capsys, "arithmetic", "--morphism", "fibonacci",
+                         "--length", "4097", "--n-max", "2")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "resource" and "4096" in error["error"]
 
 
 def test_square_free_listing_budget_exit_code(capsys, monkeypatch):

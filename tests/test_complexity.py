@@ -165,6 +165,16 @@ def test_factor_complexity_edge_words(letters, length):
         Alphabet("abcd"[:letters]), (rng.randrange(letters) for _ in range(length))))
 
 
+def test_factor_complexity_past_16_bit_names():
+    # 10^5 random symbols over 4 letters have more than 2^16 distinct names
+    # from h = 16 on, so the sort leaves its 16-bit radix keys mid-run
+    rng = random.Random(17)
+    w = Word.from_indices(Alphabet("abcd"), (rng.randrange(4) for _ in range(100_000)))
+    counts = factor_complexity(w, 40).counts
+    for n in (1, 8, 9, 16, 17, 24, 32, 33, 40):
+        assert counts[n - 1] == len({w.data[i : i + n] for i in range(len(w) - n + 1)}), n
+
+
 def thue_morse_complexity(n):
     """p(n) of the Thue-Morse word (Brlek 1989; de Luca-Varricchio 1989).
 
@@ -241,6 +251,67 @@ def arithmetic_oracle(data, n):
                 break
             seen.add(tuple(data[start + t * step] for t in range(n)))
     return len(seen)
+
+
+def arithmetic_loop(data, n_max):
+    """The per-n set of residue-stream windows arithmetic_complexity once ran."""
+    L = len(data)
+    counts = [len(set(data))]
+    for n in range(2, n_max + 1):
+        span = n - 1
+        seen: set[bytes] = set()
+        add = seen.update
+        for d in range(1, (L - 1) // span + 1):
+            # every progression with step d is a contiguous window of one of
+            # the d residue streams data[r::d]
+            for r in range(d):
+                t = data[r::d]
+                m = len(t) - n + 1
+                if m > 0:
+                    add(t[j : j + n] for j in range(m))
+        counts.append(len(seen))
+    return counts
+
+
+WIDE = Alphabet(chr(0x100 + i) for i in range(255))  # the largest alphabet allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.sampled_from((1, 2, 3, 4, 255)), data=st.data())
+def test_arithmetic_complexity_matches_the_loop(k, data):
+    # on 255 letters the top symbol is byte 254, one below the stream separator
+    alphabet = WIDE if k == 255 else Alphabet("abcd"[:k])
+    top = st.integers(k - 3, k - 1) if k == 255 else st.integers(0, k - 1)
+    symbols = data.draw(st.lists(st.one_of(st.integers(0, k - 1), top),
+                                 min_size=1, max_size=40), label="symbols")
+    w = Word.from_indices(alphabet, symbols)
+    n_max = data.draw(st.integers(1, len(w)), label="n_max")
+    assert list(arithmetic_complexity(w, n_max).counts) == arithmetic_loop(w.data, n_max)
+
+
+def test_arithmetic_complexity_memory():
+    w = fixed_point_prefix(fibonacci_morphism(), "a", 1000)
+    arithmetic_complexity(w[:10], 8)  # any lazy import happens outside the trace
+    tracemalloc.start()
+    try:
+        profile = arithmetic_complexity(w, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.counts == (2, 4, 8, 16, 30, 52, 83, 128)
+    assert peak < 60 * 2 ** 20
+
+
+def test_arithmetic_complexity_length_cap():
+    w = fixed_point_prefix(fibonacci_morphism(), "a", complexity._ARITH_MAXLEN + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="at most 4096 symbols, got 4097"):
+            arithmetic_complexity(w, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_arithmetic_complexity_small_word():
