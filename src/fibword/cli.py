@@ -44,8 +44,6 @@ def _plain(value):
     """Make a value JSON- and CSV-friendly; Fractions become 'num/den'."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, words.Word):
-        return str(value)
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -53,8 +51,7 @@ def _plain(value):
     return value
 
 
-def _emit(args, payload: dict, text_lines, csv_rows=None) -> None:
-    fmt = getattr(args, "format", "text")
+def _emit(fmt: str, payload: dict, text_lines, csv_rows=None) -> None:
     if fmt == "json":
         print(json.dumps(_plain(payload), sort_keys=True))
     elif fmt == "csv":
@@ -118,6 +115,13 @@ def _add_word_source(sp) -> None:
                     help="symbol to iterate from (default: first letter of the alphabet)")
 
 
+def _fixed_point(spec: str, seed_symbol: str | None, length: int):
+    """(morphism, seed, prefix) for --morphism, --seed-symbol and --length."""
+    morph = _resolve_morphism(spec)
+    seed = seed_symbol or morph.source.label(0)
+    return morph, seed, words.fixed_point_prefix(morph, seed, length)
+
+
 def _resolve_word(args) -> words.Word:
     if args.text is not None and args.morphism is not None:
         raise UsageError("pass --text or --morphism, not both")
@@ -127,9 +131,7 @@ def _resolve_word(args) -> words.Word:
     if args.morphism is not None:
         if args.length is None:
             raise UsageError("--morphism needs --length")
-        morph = _resolve_morphism(args.morphism)
-        seed = args.seed_symbol or morph.source.label(0)
-        return words.fixed_point_prefix(morph, seed, args.length)
+        return _fixed_point(args.morphism, args.seed_symbol, args.length)[2]
     raise UsageError("give a word with --text or with --morphism and --length")
 
 
@@ -153,22 +155,19 @@ def _parse_target(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, text lines) or (payload, text lines,
+# CSV rows), and main names the command in the payload and renders it
 
 
-def cmd_generate(args) -> int:
-    morph = _resolve_morphism(args.morphism)
-    seed = args.seed_symbol or morph.source.label(0)
-    w = words.fixed_point_prefix(morph, seed, args.length)
+def cmd_generate(args) -> tuple:
+    morph, seed, w = _fixed_point(args.morphism, args.seed_symbol, args.length)
     payload = {
-        "command": "generate",
         "word": str(w),
         "length": len(w),
         "morphism": morph.rules_text(),
         "seed_symbol": seed,
     }
-    _emit(args, payload, [str(w)])
-    return EXIT_OK
+    return payload, [str(w)]
 
 
 # subcommand -> (profile function, letter naming the profile in text output)
@@ -178,64 +177,56 @@ _PROFILES = {
 }
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> tuple:
     profile_of, letter = _PROFILES[args.command]
     w = _resolve_word(args)
     profile = profile_of(w, args.n_max)
     rows = profile.rows()
     payload = {
-        "command": args.command,
         "kind": profile.kind,
         "word_length": len(w),
         "alphabet_size": len(w.alphabet),
         "counts": [{"n": n, "count": c} for n, c in rows],
     }
     lines = [f"{letter}({n}) = {c}" for n, c in rows]
-    _emit(args, payload, lines, [("n", "count")] + rows)
-    return EXIT_OK
+    return payload, lines, [("n", "count")] + rows
 
 
-def cmd_sturmian(args) -> int:
+def cmd_sturmian(args) -> tuple:
     w = _resolve_word(args)
     profile = complexity.factor_complexity(w, args.n_max)
     ok = complexity.is_sturmian_profile(profile)
     payload = {
-        "command": "sturmian",
         "word_length": len(w),
         "n_max": args.n_max,
         "sturmian_profile": ok,
     }
     verdict = "matches" if ok else "does not match"
-    _emit(args, payload, [f"factor complexity {verdict} n+1 for n = 1..{args.n_max}"])
-    return EXIT_OK
+    return payload, [f"factor complexity {verdict} n+1 for n = 1..{args.n_max}"]
 
 
-def cmd_squarefree(args) -> int:
+def cmd_squarefree(args) -> tuple:
     if args.test is not None:
         if args.n_max is not None or args.alphabet_size is not None:
             raise UsageError("--test checks one word; it takes no --n-max or --alphabet-size")
         labels = "".join(sorted(set(args.test))) or "a"
         w = words.Word.from_string(args.test, words.Alphabet(labels))
         ok = complexity.is_square_free(w)
-        payload = {"command": "squarefree", "word": args.test, "square_free": ok}
-        _emit(args, payload, ["square-free" if ok else "contains a square"])
-        return EXIT_OK
+        payload = {"word": args.test, "square_free": ok}
+        return payload, ["square-free" if ok else "contains a square"]
     k = 3 if args.alphabet_size is None else args.alphabet_size
     if args.list:
         found = complexity.square_free_words(k, args.n_max)
         names = sorted(str(w) for w in found)
         payload = {
-            "command": "squarefree",
             "alphabet_size": k,
             "words": names,
             "count": len(names),
         }
-        _emit(args, payload, names, [("word",)] + [(n,) for n in names])
-        return EXIT_OK
+        return payload, names, [("word",)] + [(n,) for n in names]
     census = complexity.square_free_census(k, args.n_max)
     rows = list(enumerate(census.counts))
     payload = {
-        "command": "squarefree",
         "alphabet_size": census.alphabet_size,
         "counts": [{"n": n, "count": c} for n, c in rows],
         "terminated": census.terminated,
@@ -243,34 +234,31 @@ def cmd_squarefree(args) -> int:
     lines = [f"a({n}) = {c}" for n, c in rows]
     if census.terminated:
         lines.append(f"no square-free words longer than {len(census.counts) - 2} exist")
-    _emit(args, payload, lines, [("n", "count")] + rows)
-    return EXIT_OK
+    return payload, lines, [("n", "count")] + rows
 
 
-def cmd_delta(args) -> int:
+# direction -> (alphabet of the input, map)
+_DELTA = {
+    "apply": (words.ternary_alphabet, complexity.delta_apply),
+    "factorize": (words.binary_alphabet, complexity.delta_factorize),
+}
+
+
+def cmd_delta(args) -> tuple:
     if (args.apply is None) == (args.factorize is None):
         raise UsageError("pass exactly one of --apply or --factorize")
-    if args.apply is not None:
-        w = words.Word.from_string(args.apply, words.ternary_alphabet())
-        image = complexity.delta_apply(w)
-        payload = {"command": "delta", "direction": "apply",
-                   "input": str(w), "output": str(image)}
-        _emit(args, payload, [str(image)])
-    else:
-        v = words.Word.from_string(args.factorize, words.binary_alphabet())
-        source = complexity.delta_factorize(v)
-        payload = {"command": "delta", "direction": "factorize",
-                   "input": str(v), "output": str(source)}
-        _emit(args, payload, [str(source)])
-    return EXIT_OK
+    direction = "apply" if args.factorize is None else "factorize"
+    alphabet, delta = _DELTA[direction]
+    w = words.Word.from_string(getattr(args, direction), alphabet())
+    output = str(delta(w))
+    return {"direction": direction, "input": str(w), "output": output}, [output]
 
 
-def cmd_palindromes(args) -> int:
+def cmd_palindromes(args) -> tuple:
     w = _resolve_word(args)
     factors = complexity.palindromic_factor_count(w)
     scattered = complexity.scattered_palindrome_count(w)
     payload = {
-        "command": "palindromes",
         "word_length": len(w),
         "palindromic_factors": factors,
         "scattered_palindromes": scattered,
@@ -285,16 +273,14 @@ def cmd_palindromes(args) -> int:
             {"length": t, "count": c} for t, c in enumerate(by_len, start=1)
         ]
         lines += [f"length {t}: {c}" for t, c in enumerate(by_len, start=1)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def cmd_frequency(args) -> int:
+def cmd_frequency(args) -> tuple:
     w = _resolve_word(args)
     target = _parse_target(args.target) if args.target is not None else None
     report = density.frequency_report(w, args.symbol, window=args.window, target=target)
     payload = {
-        "command": "frequency",
         "symbol": report.symbol,
         "word_length": report.word_length,
         "frequency": report.global_frequency,
@@ -311,11 +297,10 @@ def cmd_frequency(args) -> int:
         payload["target"] = report.target
         payload["max_deviation"] = report.max_deviation
         lines.append(f"deviation from {report.target:.10f}: {report.max_deviation:.3e}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def cmd_balance(args) -> int:
+def cmd_balance(args) -> tuple:
     if args.step < 1:
         raise UsageError(f"--step must be at least 1, got {args.step}")
     w = _resolve_word(args)
@@ -323,7 +308,6 @@ def cmd_balance(args) -> int:
     ns = range(args.n_min, args.n_max + 1, args.step)
     report = density.balance_check(w, args.symbol, target, ns)
     payload = {
-        "command": "balance",
         "symbol": report.symbol,
         "target": report.target,
         "word_length": len(w),
@@ -339,17 +323,15 @@ def cmd_balance(args) -> int:
         f"deviation {report.worst_deviation:.6e} <= {1.0 / report.worst_n:.6e}",
     ]
     csv_rows = [("n", "max_deviation", "position")] + list(report.rows)
-    _emit(args, payload, lines, csv_rows)
-    return EXIT_OK
+    return payload, lines, csv_rows
 
 
-def cmd_golden(args) -> int:
+def cmd_golden(args) -> tuple:
     ratios = density.golden_density(args.n_max)
     rows = []
     for i, r in enumerate(ratios, start=1):
         rows.append((i, r, float(density.golden_deviation(r))))
     payload = {
-        "command": "golden",
         "ratios": [{"n": n, "ratio": r, "deviation": dev} for n, r, dev in rows],
         "tolerance": 1e-15,
     }
@@ -360,14 +342,12 @@ def cmd_golden(args) -> int:
         lines.append(f"F({args.n_max})/F({args.n_max + 1}) is within 1e-15 of phi - 1 "
                      "(certified exactly)")
     csv_rows = [("n", "ratio", "deviation")] + [(n, _plain(r), dev) for n, r, dev in rows]
-    _emit(args, payload, lines, csv_rows)
-    return EXIT_OK
+    return payload, lines, csv_rows
 
 
-def cmd_perron(args) -> int:
+def cmd_perron(args) -> tuple:
     data = density.perron_eigenvalue(args.m)
     payload = {
-        "command": "perron",
         "m": data.m,
         "rho": data.rho,
         "tolerance": data.tolerance,
@@ -385,37 +365,32 @@ def cmd_perron(args) -> int:
         f"conjugate moduli: " + ", ".join(f"{c:.6f}" for c in data.conjugate_moduli),
         f"Pisot: {'yes' if data.pisot else 'no'}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def cmd_pisano(args) -> int:
+def cmd_pisano(args) -> tuple:
     period = modfib.pisano_period(args.modulus)
-    payload = {"command": "pisano", "modulus": args.modulus, "period": period}
-    _emit(args, payload, [str(period)])
-    return EXIT_OK
+    payload = {"modulus": args.modulus, "period": period}
+    return payload, [str(period)]
 
 
-def cmd_lucaszeros(args) -> int:
+def cmd_lucaszeros(args) -> tuple:
     zeros = modfib.lucas_zeros(args.prime)
     period = modfib.pisano_period(args.prime)
     payload = {
-        "command": "lucaszeros",
         "prime": args.prime,
         "pisano": period,
         "zeros": list(zeros),
     }
     text = ", ".join(map(str, zeros)) if zeros else "(none)"
-    _emit(args, payload, [f"L(i) = 0 mod {args.prime} at i = {text} "
-                          f"within one period of {period}"])
-    return EXIT_OK
+    return payload, [f"L(i) = 0 mod {args.prime} at i = {text} "
+                     f"within one period of {period}"]
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple:
     res = modfib.density_formula(args.prime)
     ctx = res.context
     payload = {
-        "command": "density",
         "prime": ctx.prime,
         "eps": ctx.eps,
         "e": ctx.e,
@@ -434,25 +409,22 @@ def cmd_density(args) -> int:
         f"N = {res.n_count}, Z = {res.z_count}",
         f"dens = {res.density} ~ {float(res.density):.10f}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def cmd_densbrute(args) -> int:
+def cmd_densbrute(args) -> tuple:
     trace = modfib.bruteforce_trace(args.prime, args.max_level)
     payload = {
-        "command": "densbrute",
         "prime": args.prime,
         "levels": [{"lambda": lam, "density": d} for lam, d in enumerate(trace)],
     }
     lines = [f"lambda={lam}: {d} ~ {float(d):.10f}" for lam, d in enumerate(trace)]
     csv_rows = [("lambda", "density")] + [(lam, _plain(d)) for lam, d in enumerate(trace)]
-    _emit(args, payload, lines, csv_rows)
-    return EXIT_OK
+    return payload, lines, csv_rows
 
 
-def cmd_fword(args) -> int:
-    payload = {"command": "fword", "base": args.base}
+def cmd_fword(args) -> tuple:
+    payload = {"base": args.base}
     lines = []
     if args.blocks is not None:
         if args.coverage is None:
@@ -494,14 +466,12 @@ def cmd_fword(args) -> int:
         prefix = factorial_word.factorial_word_prefix(args.base, args.digits)
         payload.update({"digits": args.digits, "prefix": str(prefix)})
         lines.append(str(prefix))
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def cmd_leading(args) -> int:
+def cmd_leading(args) -> tuple:
     n = factorial_word.leading_digits_search(args.base, args.target, args.n_budget)
     payload = {
-        "command": "leading",
         "base": args.base,
         "target": args.target,
         "n_budget": args.n_budget,
@@ -512,16 +482,14 @@ def cmd_leading(args) -> int:
                  f"in base {args.base}"]
     else:
         lines = [f"{n}! starts with {args.target!r} in base {args.base}"]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args) -> tuple:
     report = factorial_word.logfactorial_equidistribution(
         args.base, args.n_max, frequency=args.frequency, bins=args.bins
     )
     payload = {
-        "command": "weyl",
         "base": args.base,
         "n_max": args.n_max,
         "frequency": args.frequency,
@@ -540,11 +508,10 @@ def cmd_weyl(args) -> int:
         f"min {min(report.histogram)}, max {max(report.histogram)}",
     ]
     csv_rows = [("bin", "count")] + list(enumerate(report.histogram))
-    _emit(args, payload, lines, csv_rows)
-    return EXIT_OK
+    return payload, lines, csv_rows
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     names = None
     if args.only:
         names = [n for spec in args.only for n in spec.split(",") if n]
@@ -553,11 +520,9 @@ def cmd_verify(args) -> int:
             what = f"unknown checks: {', '.join(unknown)}" if unknown else "--only names no check"
             raise UsageError(f"{what}; available: {', '.join(verify.CHECKS)}")
     results = verify.run_checks(names, seed=args.seed)
-    all_passed = all(r.passed for r in results)
     payload = {
-        "command": "verify",
         "seed": args.seed,
-        "passed": all_passed,
+        "passed": all(r.passed for r in results),
         "checks": [
             {"name": r.name, "passed": r.passed, "seconds": round(r.seconds, 3),
              "limit": r.limit, "detail": r.detail}
@@ -571,8 +536,7 @@ def cmd_verify(args) -> int:
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     csv_rows = [("name", "passed", "seconds")]
     csv_rows += [(r.name, r.passed, round(r.seconds, 3)) for r in results]
-    _emit(args, payload, lines, csv_rows)
-    return EXIT_OK if all_passed else EXIT_DOMAIN
+    return payload, lines, csv_rows
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +664,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, *rendered = args.func(args)
     except UsageError as exc:
         _fail("usage", str(exc))
         return EXIT_DOMAIN
@@ -710,6 +674,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         _fail("domain", str(exc))
         return EXIT_DOMAIN
+    payload["command"] = args.command
+    _emit(args.format, payload, *rendered)
+    # only verify reports "passed", false when one of its checks failed
+    return EXIT_DOMAIN if payload.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -13,12 +13,6 @@ class ComplexityProfile:
 
     kind: str                 # "factor" or "arithmetic"
     counts: tuple[int, ...]
-    word_length: int
-    alphabet_size: int
-
-    @property
-    def n_max(self) -> int:
-        return len(self.counts)
 
     def count(self, n: int) -> int:
         if not 1 <= n <= len(self.counts):
@@ -49,11 +43,14 @@ def factor_complexity(w: Word, n_max: int) -> ComplexityProfile:
     """
     _check_profile_args(w, n_max)
     counts = _factor_counts(w.data, n_max)
-    return ComplexityProfile("factor", tuple(counts), len(w), len(w.alphabet))
+    return ComplexityProfile("factor", tuple(counts))
 
 
 _END = 255  # Alphabet caps at 255 labels, so byte 255 is never a symbol
 _ARITH_MAXLEN = 4096  # the residue streams of L symbols hold about L^2 bytes
+# the sort keeps one int32 rank level of about L^2 entries per doubling step
+# up to n_max: a cap on L^2 * ceil(log2 n_max), as at L = 4096 and n_max = 8
+_ARITH_CELLS = 3 * 4096 ** 2
 
 
 def _factor_counts(data: bytes, n_max: int) -> list[int]:
@@ -123,7 +120,9 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
 
     Every progression with step d is a window of one residue stream
     data[r::d], so the profile is the factor count of those streams joined
-    by _END. They hold about len(w)^2 bytes, hence the _ARITH_MAXLEN cap.
+    by _END. They hold about len(w)^2 bytes, hence the _ARITH_MAXLEN cap,
+    and the sort about ceil(log2 n_max) rank levels of that size, hence the
+    _ARITH_CELLS cap.
     """
     _check_profile_args(w, n_max)
     data = w.data
@@ -131,6 +130,11 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     if L > _ARITH_MAXLEN:
         raise BudgetError(f"arithmetic complexity takes words of at most "
                           f"{_ARITH_MAXLEN} symbols, got {L}")
+    cells = L * L * (n_max - 1).bit_length()
+    if cells > _ARITH_CELLS:
+        raise BudgetError(f"arithmetic complexity of {L} symbols up to n = {n_max} needs "
+                          f"L^2 * ceil(log2 n_max) = {cells} rank cells, over the "
+                          f"limit of {_ARITH_CELLS}")
     # streams of one symbol repeat a symbol of the d = 1 stream, data itself;
     # joining one step at a time keeps few slices alive at once
     streams = bytearray(data)
@@ -138,7 +142,7 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
         streams.append(_END)
         streams += bytes([_END]).join([data[r::d] for r in range(min(d, L - d))])
     counts = _factor_counts(streams, n_max)
-    return ComplexityProfile("arithmetic", tuple(counts), len(w), len(w.alphabet))
+    return ComplexityProfile("arithmetic", tuple(counts))
 
 
 def is_sturmian_profile(profile: ComplexityProfile) -> bool:
@@ -293,37 +297,26 @@ def delta_apply(w: Word) -> Word:
     return delta_morphism().apply(w)
 
 
-def delta_factorize(v: Word) -> Word:
-    """Invert delta_apply by greedy longest match from the left.
+_RUN_TO_SYMBOL = bytes((2, 1, 0)).ljust(256, b"\xff")  # runs of 0, 1, 2 'b's -> c, b, a
 
-    The match is forced: every block starts with the unique 'a', so the input
-    splits at each 'a' and the run of following 'b's picks the block.
+
+def delta_factorize(v: Word) -> Word:
+    """Invert delta_apply.
+
+    Every block starts with the unique 'a', so the input splits at each 'a'
+    and the run of 0, 1 or 2 following 'b's picks the block c, b or a.
     """
     if v.alphabet != binary_alphabet():
         raise DomainError("factorization input must be a word over {a, b}")
-    data = v.data
-    L = len(data)
-    out = bytearray()
-    i = 0
-    while i < L:
-        if data[i] != 0:
-            raise FactorizationError(f"expected 'a' at position {i}, found 'b'")
-        j = i + 1
-        while j < L and data[j] == 1:
-            j += 1
-        run = j - i - 1
-        if run == 0:
-            out.append(2)  # block "a"   <- c
-        elif run == 1:
-            out.append(1)  # block "ab"  <- b
-        elif run == 2:
-            out.append(0)  # block "abb" <- a
-        else:
-            raise FactorizationError(
-                f"run of {run} 'b's starting at position {i + 1} fits no block"
-            )
-        i = j
-    return Word.from_indices(ternary_alphabet(), out)
+    runs = list(map(len, v.data.split(b"\x00")))  # runs[0] comes before the first 'a'
+    if runs[0]:
+        raise FactorizationError("expected 'a' at position 0, found 'b'")
+    if max(runs) > 2:
+        k = next(k for k, run in enumerate(runs) if run > 2)
+        # the run follows the k-th 'a', after k - 1 'a's and the runs before it
+        raise FactorizationError(f"run of {runs[k]} 'b's starting at position "
+                                 f"{k + sum(runs[:k])} fits no block")
+    return Word(ternary_alphabet(), bytes(runs[1:]).translate(_RUN_TO_SYMBOL))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Symbol densities: exact frequencies, window bounds, golden ratios, Perron data."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -193,7 +193,6 @@ class PerronData:
     eigen_residual: float            # max_j |(d A)_j - rho d_j|
     conjugate_moduli: tuple[float, ...]
     pisot: bool
-    matrix: tuple[tuple[int, ...], ...] = field(repr=False)
     tolerance: float = 1e-12
 
 
@@ -254,5 +253,4 @@ def perron_eigenvalue(m: int) -> PerronData:
         eigen_residual=resid,
         conjugate_moduli=tuple(conj),
         pisot=bool(conj and max(conj) < 1.0 - 1e-9),
-        matrix=tuple(tuple(row) for row in matrix),
     )

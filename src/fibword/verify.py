@@ -265,9 +265,4 @@ def run_check(name: str, seed: int = 0) -> CheckResult:
 
 
 def run_checks(names=None, seed: int = 0) -> list[CheckResult]:
-    if names is None:
-        names = list(CHECKS)
-    unknown = [n for n in names if n not in CHECKS]
-    if unknown:
-        raise KeyError(f"unknown checks: {', '.join(unknown)}")
-    return [run_check(name, seed) for name in names]
+    return [run_check(name, seed) for name in (CHECKS if names is None else names)]

@@ -98,11 +98,16 @@ class Word:
             raise DomainError("word contains symbol indices outside its alphabet")
 
     @classmethod
-    def from_string(cls, text: str, alphabet: Alphabet) -> "Word":
+    def _trusted(cls, alphabet: Alphabet, data: bytes) -> "Word":
+        """A word on bytes already known to index into alphabet; skips the check."""
         w = cls.__new__(cls)
         w.alphabet = alphabet
-        w.data = bytes(alphabet.index(ch) for ch in text)
+        w.data = data
         return w
+
+    @classmethod
+    def from_string(cls, text: str, alphabet: Alphabet) -> "Word":
+        return cls._trusted(alphabet, bytes(alphabet.index(ch) for ch in text))
 
     @classmethod
     def from_indices(cls, alphabet: Alphabet, indices: Iterable[int]) -> "Word":
@@ -116,19 +121,13 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            w = Word.__new__(Word)
-            w.alphabet = self.alphabet
-            w.data = self.data[item]
-            return w
+            return Word._trusted(self.alphabet, self.data[item])
         return self.data[item]
 
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise DomainError("cannot concatenate words over different alphabets")
-        w = Word.__new__(Word)
-        w.alphabet = self.alphabet
-        w.data = self.data + other.data
-        return w
+        return Word._trusted(self.alphabet, self.data + other.data)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -219,10 +218,7 @@ class Morphism:
         if w.alphabet != self.source:
             raise DomainError("word is not over this morphism's source alphabet")
         images = self.images
-        out = Word.__new__(Word)
-        out.alphabet = self.target
-        out.data = b"".join(images[i].data for i in w.data)
-        return out
+        return Word._trusted(self.target, b"".join(images[i].data for i in w.data))
 
     __call__ = apply
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from fibword import budgets, cli, fib_pair_mod
+from fibword import budgets, cli, fib_pair_mod, verify
 
 SCHEMA = json.loads(
     resources.files("fibword").joinpath("schemas/cli_output.schema.json").read_text()
@@ -319,6 +321,18 @@ def test_verify_runs_every_check(capsys):
     ]
 
 
+def test_verify_failing_check_prints_its_payload_and_exits_one(capsys, monkeypatch):
+    def check_always_fails(seed=0):
+        raise AssertionError("always fails")
+
+    monkeypatch.setitem(verify.CHECKS, "always-fails", (check_always_fails, None))
+    code, payload = run_json(capsys, "verify", "--only", "always-fails")
+    assert code == 1
+    assert payload["command"] == "verify" and payload["passed"] is False
+    assert [(c["name"], c["passed"], c["detail"]) for c in payload["checks"]] == [
+        ("always-fails", False, "always fails")]
+
+
 def test_verify_unknown_check(capsys):
     code, out, err = run(capsys, "verify", "--only", "nonsense")
     assert code == 1
@@ -361,11 +375,13 @@ def test_budget_error_exit_code(capsys, monkeypatch):
 
 
 def test_arithmetic_length_cap_exit_code(capsys):
-    code, out, err = run(capsys, "arithmetic", "--morphism", "fibonacci",
-                         "--length", "4097", "--n-max", "2")
-    assert code == 2 and out == ""
-    error = json.loads(err)
-    assert error["kind"] == "resource" and "4096" in error["error"]
+    # the length cap, then the cap on L^2 * ceil(log2 n_max) rank cells
+    for length, n_max, phrase in (("4097", "2", "4096"), ("4096", "4096", "rank cells")):
+        code, out, err = run(capsys, "arithmetic", "--morphism", "fibonacci",
+                             "--length", length, "--n-max", n_max)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["kind"] == "resource" and phrase in error["error"]
 
 
 def test_square_free_listing_budget_exit_code(capsys, monkeypatch):
@@ -509,8 +525,9 @@ def test_json_output_is_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
-def test_every_documented_command_validates(capsys):
-    """One JSON invocation per subcommand, all validated against the schema."""
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_every_documented_command_validates(capsys, fmt):
+    """One invocation per subcommand in each format; JSON meets the schema."""
     invocations = [
         ("generate", "--morphism", "fibonacci", "--length", "5"),
         ("complexity", "--text", "abaab", "--n-max", "2"),
@@ -534,9 +551,16 @@ def test_every_documented_command_validates(capsys):
         ("verify", "--only", "golden-density"),
     ]
     for argv in invocations:
-        code, payload = run_json(capsys, *argv)
+        if fmt == "json":
+            code, payload = run_json(capsys, *argv)
+            assert payload["command"] == argv[0]
+        else:
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert err == "" and out.strip(), argv
+            if fmt == "csv":
+                rows = list(csv.reader(io.StringIO(out)))
+                assert rows and all(rows), argv
         assert code == 0, argv
-        assert payload["command"] == argv[0]
 
 
 def test_cli_import_starts_no_process_pool():

@@ -303,15 +303,28 @@ def test_arithmetic_complexity_memory():
 
 
 def test_arithmetic_complexity_length_cap():
+    # too long a word; then L = 4096 with n_max = L, whose 12 rank levels of
+    # ~L^2 int32 entries exceed the cap on rank cells
     w = fixed_point_prefix(fibonacci_morphism(), "a", complexity._ARITH_MAXLEN + 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError, match="at most 4096 symbols, got 4097"):
-            arithmetic_complexity(w, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+    for word, n_max, match in ((w, 2, "at most 4096 symbols, got 4097"),
+                               (w[:-1], 4096, "rank cells")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=match):
+                arithmetic_complexity(word, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def test_arithmetic_complexity_rank_cell_cap_boundary(monkeypatch):
+    # the cap counts ceil(log2 n_max) levels: n_max = 8 needs 3, n_max = 9 needs 4
+    monkeypatch.setattr(complexity, "_ARITH_CELLS", 3 * 40 ** 2)
+    w = fixed_point_prefix(fibonacci_morphism(), "a", 40)
+    assert list(arithmetic_complexity(w, 8).counts) == arithmetic_loop(w.data, 8)
+    with pytest.raises(BudgetError, match="= 6400 rank cells, over the limit of 4800"):
+        arithmetic_complexity(w, 9)
 
 
 def test_arithmetic_complexity_small_word():
@@ -552,6 +565,54 @@ def test_delta_factorize_roundtrip_random():
     for _ in range(2000):
         w = random_word(rng, 3, rng.randrange(0, 20))
         assert delta_factorize(delta_apply(w)) == w
+
+
+def delta_factorize_loop(data):
+    """The per-symbol scan delta_factorize once ran; raises as it does."""
+    out = bytearray()
+    i = 0
+    while i < len(data):
+        if data[i] != 0:
+            raise FactorizationError(f"expected 'a' at position {i}, found 'b'")
+        j = i + 1
+        while j < len(data) and data[j] == 1:
+            j += 1
+        run = j - i - 1
+        if run > 2:
+            raise FactorizationError(
+                f"run of {run} 'b's starting at position {i + 1} fits no block"
+            )
+        out.append(2 - run)  # blocks a, ab, abb <- c, b, a
+        i = j
+    return bytes(out)
+
+
+def test_delta_factorize_matches_the_loop():
+    rng = random.Random(18)
+    cases = [b"\x00\x01\x00" + b"\x01" * 300]  # a run longer than a byte can count
+    for trial in range(3000):
+        if trial % 2:
+            # an image with up to two symbols flipped
+            data = bytearray(delta_apply(random_word(rng, 3, rng.randrange(0, 30))).data)
+            for _ in range(rng.randrange(0, 3)):
+                if data:
+                    data[rng.randrange(len(data))] ^= 1
+        else:
+            data = rng.choices((0, 1), weights=(2, 3), k=rng.randrange(0, 30))
+        cases.append(bytes(data))
+    outcomes = set()
+    for data in cases:
+        try:
+            want = delta_factorize_loop(data)
+        except FactorizationError as exc:
+            with pytest.raises(FactorizationError) as got:
+                delta_factorize(Word(binary_alphabet(), data))
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split()[0])
+        else:
+            assert delta_factorize(Word(binary_alphabet(), data)).data == want
+            outcomes.add("ok")
+    assert outcomes == {"ok", "expected", "run"}
 
 
 def test_delta_factorize_rejects_non_images():
