@@ -256,8 +256,10 @@ def cmd_delta(args) -> tuple:
 
 def cmd_palindromes(args) -> tuple:
     w = _resolve_word(args)
-    factors = complexity.palindromic_factor_count(w)
+    # the scattered count checks its length budget, so an over-budget word
+    # is refused before any factor counting
     scattered = complexity.scattered_palindrome_count(w)
+    factors = complexity.palindromic_factor_count(w)
     payload = {
         "word_length": len(w),
         "palindromic_factors": factors,

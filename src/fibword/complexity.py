@@ -1,5 +1,6 @@
 """Complexity profiles, square-free censuses, a block code, and palindrome counts."""
 
+from array import array
 from dataclasses import dataclass
 
 from .budgets import budget
@@ -316,7 +317,7 @@ def delta_factorize(v: Word) -> Word:
         # the run follows the k-th 'a', after k - 1 'a's and the runs before it
         raise FactorizationError(f"run of {runs[k]} 'b's starting at position "
                                  f"{k + sum(runs[:k])} fits no block")
-    return Word(ternary_alphabet(), bytes(runs[1:]).translate(_RUN_TO_SYMBOL))
+    return Word._trusted(ternary_alphabet(), bytes(runs[1:]).translate(_RUN_TO_SYMBOL))
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +325,46 @@ def delta_factorize(v: Word) -> Word:
 
 
 def palindromic_factor_count(w: Word) -> int:
-    """Number of distinct nonempty palindromic factors of w."""
+    """Number of distinct nonempty palindromic factors of w.
+
+    Builds the eertree of Rubinchik and Shur (arXiv:1506.04862): one node per
+    distinct palindrome, plus the roots of length -1 and 0. Reading c =
+    w[i] wraps c around the longest suffix palindrome of w[:i] that c
+    precedes, which adds at most one node; the new node's suffix link is the
+    next such palindrome down the suffix-link chain, wrapped the same way.
+    The suffix-link walks take O(len(w)) steps in total.
+    """
     data = w.data
-    L = len(data)
-    found: set[bytes] = set()
-    for center in range(L):
-        for left, right in ((center, center), (center, center + 1)):
-            while left >= 0 and right < L and data[left] == data[right]:
-                found.add(data[left : right + 1])
-                left -= 1
-                right += 1
-    return len(found)
+    # text[i + 1] = data[i], behind the never-a-symbol byte _END: the symbol
+    # before a suffix palindrome of length n of data[:i] is text[i - n], and
+    # it is _END when the palindrome is all of data[:i]
+    text = bytes([_END]) + data
+    # node 0 is the root of length -1, node 1 the empty palindrome; int32
+    # lengths suffice, as 2^31 symbols would take hundreds of GiB of nodes
+    length = array("i", (-1, 0))
+    link = array("i", (0, 0))
+    # (node << 8) | symbol -> child: half the memory of one dict per node
+    edges: dict[int, int] = {}
+    last = 1
+    for i, c in enumerate(data):
+        v = last
+        while text[i - length[v]] != c:
+            v = link[v]
+        key = v << 8 | c
+        child = edges.get(key)
+        if child is None:
+            if v == 0:
+                suffix = 1  # a single symbol links to the empty palindrome
+            else:
+                u = link[v]
+                while text[i - length[u]] != c:
+                    u = link[u]
+                suffix = edges[u << 8 | c]
+            child = edges[key] = len(length)
+            length.append(length[v] + 2)
+            link.append(suffix)
+        last = child
+    return len(length) - 2
 
 
 def scattered_palindrome_count(w: Word) -> int:

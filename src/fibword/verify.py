@@ -76,7 +76,12 @@ def check_sturmian_complexity(seed: int = 0) -> str:
     profile = complexity.factor_complexity(w, 200)
     bad = [n for n in range(1, 201) if profile.count(n) != n + 1]
     assert not bad, f"factor counts differ from n+1 at n = {bad[:5]}"
-    return "factor complexity is n+1 for 1 <= n <= 200 on a 20000-symbol prefix"
+    # Sturmian words are rich: a prefix of length L has L palindromic factors
+    rich = words.fixed_point_prefix(words.fibonacci_morphism(), "a", 100_000)
+    pal = complexity.palindromic_factor_count(rich)
+    assert pal == len(rich), f"{pal} palindromic factors in a {len(rich)}-symbol prefix"
+    return ("factor complexity is n+1 for 1 <= n <= 200 on a 20000-symbol prefix; "
+            "a 100000-symbol prefix has 100000 palindromic factors")
 
 
 def check_balance_bound(seed: int = 0) -> str:

@@ -94,7 +94,8 @@ class Word:
     def __init__(self, alphabet: Alphabet, data: bytes = b""):
         self.alphabet = alphabet
         self.data = bytes(data)
-        if self.data and max(self.data) >= len(alphabet):
+        # deleting every valid index leaves only the bad ones
+        if self.data.translate(None, bytes(range(len(alphabet)))):
             raise DomainError("word contains symbol indices outside its alphabet")
 
     @classmethod
@@ -159,6 +160,10 @@ class Word:
         return self.alphabet == other.alphabet and self.data.startswith(other.data)
 
 
+_APPLY_CHUNK = 2 ** 14  # source symbols per join in Morphism.apply
+_IMAGE_CAP = 4096  # fixed_point_prefix squares the morphism while images stay this short
+
+
 class Morphism:
     """Map sending each source symbol to a nonempty word over the target alphabet.
 
@@ -217,8 +222,14 @@ class Morphism:
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.source:
             raise DomainError("word is not over this morphism's source alphabet")
-        images = self.images
-        return Word._trusted(self.target, b"".join(images[i].data for i in w.data))
+        images = [img.data for img in self.images]
+        data = w.data
+        # bytes.join keeps a buffer record (~80 bytes) per item until it
+        # returns, so the images are joined a chunk of symbols at a time
+        out = bytearray()
+        for start in range(0, len(data), _APPLY_CHUNK):
+            out += b"".join(map(images.__getitem__, data[start:start + _APPLY_CHUNK]))
+        return Word._trusted(self.target, bytes(out))
 
     __call__ = apply
 
@@ -316,8 +327,11 @@ def fixed_point_prefix(morph: Morphism, seed: "int | str", length: int) -> Word:
 
     Requires a prolongable seed: image(seed) must start with seed and have
     length at least 2, so each iteration extends the previous one. The fixed
-    point x = image(x) is read off itself: image(x[0]), then image(x[1]),
-    image(x[2]), ...
+    point x = image(x) is also the fixed point of every power sigma^(2^k), so
+    the morphism is first squared while its longest image is short enough
+    that the square's images stay within _IMAGE_CAP symbols, or until the
+    seed's image is long enough. x is then read off itself under that power:
+    image(x[0]), then image(x[1]), image(x[2]), ...
     """
     if length < 0:
         raise DomainError("length must be nonnegative")
@@ -330,13 +344,16 @@ def fixed_point_prefix(morph: Morphism, seed: "int | str", length: int) -> Word:
             "image must start with the seed and have length >= 2"
         )
     images = [img.data for img in morph.images]
+    while len(images[s]) < length and max(map(len, images)) ** 2 <= _IMAGE_CAP:
+        images = [b"".join(map(images.__getitem__, img)) for img in images]
     out = bytearray(images[s])
     i = 1
     while len(out) < length:
         # images are nonempty, so out is always longer than i
         out += images[out[i]]
         i += 1
-    return Word(morph.source, out[:length])
+    # the images are words over the source alphabet, so out is one too
+    return Word._trusted(morph.source, bytes(memoryview(out)[:length]))
 
 
 def adjacency_matrix(morph: Morphism) -> list[list[int]]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -158,6 +159,21 @@ def test_palindromes_command(capsys):
     assert payload["palindromic_factors"] == 5
     assert payload["scattered_palindromes"] == 8
     assert [row["count"] for row in payload["scattered_by_length"]] == [2, 2, 3, 1]
+
+
+def test_palindromes_refuses_a_long_word_before_counting(capsys):
+    # counting the factors of a^(10^5) first would peak near 13 MiB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "palindromes", "--morphism", "a->aa",
+                             "--seed-symbol", "a", "--length", "100000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "resource" and "scattered palindrome budget" in error["error"]
+    assert peak < 2 * 2 ** 20
 
 
 def test_frequency_command(capsys):

@@ -15,6 +15,7 @@ from fibword import (
     Word,
     arithmetic_complexity,
     binary_alphabet,
+    compose_sturmian,
     delta_apply,
     delta_factorize,
     delta_morphism,
@@ -635,6 +636,53 @@ def test_delta_factorize_requires_binary_input():
 def palindromic_factors_oracle(data):
     return len({data[i:j] for i in range(len(data)) for j in range(i + 1, len(data) + 1)
                 if data[i:j] == data[i:j][::-1]})
+
+
+def palindromes_by_centre(data):
+    """Oracle: grow a palindrome around every centre, collecting the factors."""
+    L = len(data)
+    found = set()
+    for center in range(L):
+        for left, right in ((center, center), (center, center + 1)):
+            while left >= 0 and right < L and data[left] == data[right]:
+                found.add(data[left : right + 1])
+                left -= 1
+                right += 1
+    return len(found)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), max_size=40)))
+def test_palindromic_factor_count_matches_the_oracles(letters):
+    w = Word.from_indices(Alphabet("abcd"), letters)
+    count = palindromic_factor_count(w)
+    assert count == palindromes_by_centre(w.data) == palindromic_factors_oracle(w.data)
+
+
+def test_palindromic_factor_count_on_rich_words():
+    # Sturmian words are rich (Droubay-Justin-Pirillo 2001): L palindromic
+    # factors in every prefix of length L; a^L is rich too
+    assert palindromic_factor_count(Word(Alphabet("a"), bytes(3000))) == 3000
+    fib = fixed_point_prefix(fibonacci_morphism(), "a", 10 ** 5)
+    assert palindromic_factor_count(fib) == 10 ** 5
+    sturmian = compose_sturmian(["phi", "phit", "E", "phi"])
+    assert is_sturmian_profile(factor_complexity(fixed_point_prefix(sturmian, "a", 2000), 40))
+    w = fixed_point_prefix(sturmian, "a", 30_000)
+    assert palindromic_factor_count(w) == 30_000
+
+
+def test_palindromic_factor_count_memory():
+    # on this word one edge dict per node peaks at 29 MiB traced, and the
+    # flat dict with lengths and links in lists at 16.5 MiB
+    w = fixed_point_prefix(fibonacci_morphism(), "a", 10 ** 5)
+    tracemalloc.start()
+    try:
+        palindromic_factor_count(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def scattered_oracle(data):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import (
     Alphabet,
@@ -72,6 +74,12 @@ def test_word_concat_requires_same_alphabet():
 def test_word_rejects_out_of_range_indices():
     with pytest.raises(DomainError):
         Word(binary_alphabet(), bytes([0, 1, 2]))
+    for size in (1, 2, 3, 36, 255):
+        alpha = Alphabet(chr(0x100 + i) for i in range(size))
+        assert Word(alpha, bytes(range(size)) * 3).data == bytes(range(size)) * 3
+        for bad in range(size, 256):
+            with pytest.raises(DomainError, match="symbol indices outside its alphabet"):
+                Word(alpha, bytes(range(size)) + bytes([bad]) + bytes(size))
 
 
 def test_morphism_from_rules_and_apply():
@@ -91,6 +99,20 @@ def test_morphism_is_a_homomorphism():
         u = Word.from_indices(tern, (rng.randrange(3) for _ in range(rng.randrange(8))))
         v = Word.from_indices(tern, (rng.randrange(3) for _ in range(rng.randrange(8))))
         assert sigma.apply(u + v) == sigma.apply(u) + sigma.apply(v)
+
+
+def test_morphism_apply_memory():
+    # one join over every symbol keeps ~80 bytes per symbol: 45 MiB traced
+    tm = thue_morse_morphism()
+    w = fixed_point_prefix(tm, "0", 2 ** 19)
+    tracemalloc.start()
+    try:
+        image = tm.apply(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image == fixed_point_prefix(tm, "0", 2 ** 20)
+    assert peak < 8 * 2 ** 20
 
 
 def test_morphism_composition_order():
@@ -154,6 +176,17 @@ def iterate_to_length(morph, seed, length):
     return w[:length]
 
 
+def read_off_oracle(morph, seed, length):
+    """Oracle: read x = sigma(x) off itself, appending one image per symbol."""
+    images = [img.data for img in morph.images]
+    out = bytearray(images[seed])
+    i = 1
+    while len(out) < length:
+        out += images[out[i]]
+        i += 1
+    return Word(morph.source, out[:length])
+
+
 def test_fixed_point_prefix_matches_iterated_images():
     rng = random.Random(12)
     morphs = [(fibonacci_morphism(), "a"), (thue_morse_morphism(), "1"),
@@ -162,6 +195,50 @@ def test_fixed_point_prefix_matches_iterated_images():
     for morph, seed in morphs:
         for length in (0, 1, 2, 3, 10, 1000, rng.randrange(1, 5000)):
             assert fixed_point_prefix(morph, seed, length) == iterate_to_length(morph, seed, length)
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    """An endomorphism over 1-4 letters, some of them fixed letters (b -> b),
+    and a seed it is prolongable on."""
+    k = draw(st.integers(1, 4))
+    letter = st.integers(0, k - 1)
+    images = [draw(st.lists(letter, min_size=1, max_size=4)) for _ in range(k)]
+    for j in draw(st.sets(letter)):
+        images[j] = [j]
+    seed = draw(letter)
+    images[seed] = [seed] + draw(st.lists(letter, min_size=1, max_size=3))
+    alpha = Alphabet("abcd"[:k])
+    return Morphism(alpha, alpha, [Word.from_indices(alpha, img) for img in images]), seed
+
+
+@settings(max_examples=150)
+@given(prolongable_morphisms(), st.integers(0, 3000))
+def test_fixed_point_prefix_matches_the_read_off_loop(ms, length):
+    morph, seed = ms
+    # around the length of the seed's image under each sigma^(2^j) whose
+    # images all stay short, as the library's squaring does
+    square = morph
+    edges = [len(morph.image(seed))]
+    while max(map(len, square.images)) ** 2 <= 5000:
+        square = square.then(square)
+        edges.append(len(square.image(seed)))
+    for n in {length} | {e + d for e in edges for d in (-1, 0, 1)}:
+        assert fixed_point_prefix(morph, seed, n) == read_off_oracle(morph, seed, n)
+
+
+def test_fixed_point_prefix_past_fixed_letters():
+    # b never grows, so the prefix a b^(L-1) is read one symbol at a time;
+    # c never occurs, but squaring until only a's image is long would grow
+    # c's image to 3^32 symbols
+    tracemalloc.start()
+    try:
+        w = fixed_point_prefix(Morphism.from_rules("a->ab,b->b,c->ccc"), "a", 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.data == bytes(1) + bytes([1]) * 9_999
+    assert peak < 2 ** 20
 
 
 def test_fixed_point_prefix_memory():
