@@ -1,8 +1,9 @@
 """Command line interface.
 
-Every subcommand takes --format json|csv|text (text is the default). JSON
-output is one object per invocation with a "command" key and sorted keys, so
-runs are byte-for-byte reproducible; exact rationals serialize as "num/den".
+Every subcommand takes --format json|csv|text (text is the default), before
+or after the command name; a value after it wins. JSON output is one object
+per invocation with a "command" key and sorted keys, so runs are
+byte-for-byte reproducible; exact rationals serialize as "num/den".
 Errors go to stderr as a one-line JSON object and set the exit status:
 1 for bad input or usage, 2 for an exhausted resource budget.
 """
@@ -551,12 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Substitution words, complexity profiles, symbol densities, "
                     "Fibonacci residues, and the concatenated-factorials word.",
     )
+    formats = ("text", "json", "csv")
+    parser.add_argument("--format", choices=formats, default="text")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name, func, help_text):
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.set_defaults(func=func)
-        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        # suppressed, so the subparser sets --format only when given after
+        # the command, and a value given before it is not reset to text
+        sp.add_argument("--format", choices=formats, default=argparse.SUPPRESS)
         return sp
 
     sp = add("generate", cmd_generate, "iterate a morphism and print a fixed-point prefix")

@@ -1,10 +1,10 @@
 """Symbol densities: exact frequencies, window bounds, golden ratios, Perron data."""
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import BalanceViolation, DomainError
 from .modfib import fib
@@ -23,6 +23,8 @@ def _occurrence_prefix(data: bytes, s: int) -> np.ndarray:
 
     The length-n windows hold prefix[n:] - prefix[:-n] occurrences, by start.
     """
+    import numpy as np
+
     occ = np.frombuffer(data, dtype=np.uint8) == s
     # int32 halves the bytes that each of balance_check's per-n passes reads
     prefix = np.zeros(len(data) + 1, dtype=np.int32)
@@ -93,6 +95,8 @@ def balance_check(w: Word, symbol: "int | str", target: float,
     as the rational it represents. Raises BalanceViolation on the first
     offending window, which is how a non-Sturmian input announces itself.
     """
+    import numpy as np
+
     s = w.alphabet.as_index(symbol)
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
@@ -218,6 +222,8 @@ def perron_eigenvalue(m: int) -> PerronData:
     eigenvalues come from the companion matrix and feed the Pisot flag.
     """
     mbonacci_alphabet(m)  # rejects m outside 2..35 before any root finding
+    import numpy as np
+
     lo, hi = 1.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

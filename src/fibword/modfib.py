@@ -7,11 +7,11 @@ O(log m) multiplications, so no period is walked. The only walk left is the
 residue walk behind the densities, done in numpy blocks for every modulus.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-
-import numpy as np
 
 from .budgets import budget
 from .errors import BudgetError, DomainError
@@ -276,6 +276,8 @@ def _base_block(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
 
     In uint64 up to _NUMPY_MODULUS, above it in object arrays of Python ints.
     """
+    import numpy as np
+
     f = np.array([0, 1], dtype=np.uint64 if m <= _NUMPY_MODULUS else object)
     while len(f) < size + 2:
         a = (int(f[-1]) + int(f[-2])) % m        # F(L) for L = len(f)
@@ -286,6 +288,8 @@ def _base_block(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _previous(f: np.ndarray) -> np.ndarray:
     """F(j - 1) from F(j), j = 0, 1, ...: shift right and put F(-1) = 1 first."""
+    import numpy as np
+
     g = np.roll(f, 1)
     g[0] = 1
     return g
@@ -298,6 +302,8 @@ def _fib_blocks(m: int, start: int, steps: int):
     the first return to (0, 1) walks little past it. Blocks are int64 up to
     m = 2^63 (int64 indexes faster than uint64) and object arrays above.
     """
+    import numpy as np
+
     a, b = fib_pair_mod(start, m)
     size = min(_BLOCK, m, steps)
     f, g = _base_block(m, size)
@@ -320,6 +326,8 @@ def _residues(m: int, segments: list[tuple[int, int]]) -> np.ndarray:
     A bitmap of m cells when that is no larger than the values themselves
     would take, else the sorted values.
     """
+    import numpy as np
+
     steps = sum(n for _, n in segments)
     if m <= 8 * steps:
         seen = np.zeros(m, dtype=bool)
@@ -396,6 +404,8 @@ def density_formula(p: int) -> DensityResult:
     Lucas zeros collects them. Z counts the Lucas-zero indices whose residue
     falls outside that set, each read off by fast doubling.
     """
+    import numpy as np
+
     ctx = prime_context(p)
     pe = p ** ctx.e
     zeros = ctx.lucas_zero_indices
@@ -429,6 +439,8 @@ def residue_density_bruteforce(p: int, lam: int) -> Fraction:
     walk finds the period itself, as the first return to (0, 1). The modulus
     budget bounds the bitmap and the period-step budget the walk.
     """
+    import numpy as np
+
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if lam < 0:

@@ -579,12 +579,79 @@ def test_every_documented_command_validates(capsys, fmt):
         assert code == 0, argv
 
 
+def _probe(code: str) -> str:
+    """Run code in a fresh interpreter on this checkout; return its stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
 def test_cli_import_starts_no_process_pool():
     """Importing the CLI loads no multiprocessing or concurrent module."""
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import fibword.cli, sys; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert _probe(probe).strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    """numpy is imported by the functions that use it, not by any module."""
+    probe = ("import sys; import fibword; a = 'numpy' in sys.modules; "
+             "import fibword.cli; print(a, 'numpy' in sys.modules)")
+    assert _probe(probe).split() == ["False", "False"]
+
+
+def test_numpy_free_commands_do_not_import_numpy():
+    """One fresh interpreter serves the requests that need no numpy, then one that does."""
+    numpy_free = [
+        ["generate", "--morphism", "fibonacci", "--length", "50"],
+        ["squarefree", "--test", "abcab"],
+        ["squarefree", "--alphabet-size", "3", "--n-max", "8"],
+        ["delta", "--apply", "abc"],
+        ["delta", "--factorize", "abbaba"],
+        ["palindromes", "--morphism", "fibonacci", "--length", "50"],
+        ["golden", "--n-max", "10"],
+        ["pisano", "7"],
+        ["lucaszeros", "7"],
+        ["leading", "--target", "7", "--n-budget", "10"],
+        ["weyl", "--n-max", "50"],
+        ["verify", "--only", "golden-density"],
+    ]
+    requests = numpy_free + [["complexity", "--text", "abaab", "--n-max", "2"]]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from fibword import cli\n"
+        "seen = []\n"
+        f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main([*argv, '--format', 'json'])\n"
+        "    seen.append([argv[0], code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    seen = json.loads(_probe(probe))
+    assert seen[:-1] == [[argv[0], 0, False] for argv in numpy_free]
+    # the probe can see numpy: the complexity profile loads it
+    assert seen[-1] == ["complexity", 0, True]
+
+
+def test_format_before_or_after_the_command(capsys):
+    want = {"command": "pisano", "modulus": 7, "period": 16}
+    for argv in (["--format", "json", "pisano", "7"],
+                 ["pisano", "7", "--format", "json"],
+                 ["--format", "csv", "pisano", "7", "--format", "json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out) == want, argv
+    # a value after the command wins over one before it
+    assert run(capsys, "--format", "json", "pisano", "7", "--format", "text") == (0, "16\n", "")
+    assert run(capsys, "--format", "csv", "pisano", "7")[1] == run(
+        capsys, "pisano", "7", "--format", "csv")[1]
+
+
+@pytest.mark.parametrize("argv", [["--format", "xml", "pisano", "7"],
+                                  ["pisano", "7", "--format", "xml"]])
+def test_unknown_format_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "usage" and "invalid choice: 'xml'" in error["error"]
