@@ -47,15 +47,11 @@ def factor_complexity(w: Word, n_max: int) -> ComplexityProfile:
     return ComplexityProfile("factor", tuple(counts))
 
 
-_END = 255  # Alphabet caps at 255 labels, so byte 255 is never a symbol
-_ARITH_MAXLEN = 4096  # the residue streams of L symbols hold about L^2 bytes
-# the sort keeps one int32 rank level of about L^2 entries per doubling step
-# up to n_max: a cap on L^2 * ceil(log2 n_max), as at L = 4096 and n_max = 8
-_ARITH_CELLS = 3 * 4096 ** 2
+_ARITH_MAXLEN = 4096  # the records of the L^2 / 2 pairs peak at about 35 bytes each
 
 
 def _factor_counts(data: bytes, n_max: int) -> list[int]:
-    """Distinct length-n factors, n = 1..n_max, of the pieces of data between _END bytes."""
+    """Distinct length-n factors of data, n = 1..n_max."""
     import numpy as np
 
     L = len(data)
@@ -101,12 +97,7 @@ def _factor_counts(data: bytes, n_max: int) -> list[int]:
         lcp += (levels[j][a + lcp] == levels[j][b + lcp]) << j
     shared[apart] = lcp
     del levels, rank, tied, apart, a, b, lcp
-    # left[i] = min(n_max, symbols from i before the next _END); the suffixes
-    # sharing an n-prefix free of _END are adjacent, so p(n) = #{left >= n} -
-    # #{pairs whose common prefix, cut at the second one's _END, is >= n}
-    at = np.arange(L, dtype=np.int32)
-    stop = np.minimum.accumulate(np.where(symbols == _END, at, np.int32(L))[::-1])[::-1]
-    left = np.minimum(stop - at, n_max)
+    left = np.minimum(np.arange(L, 0, -1), n_max)  # the suffix lengths, up to n_max
     np.minimum(shared, left[order[1:]], out=shared)
     exact = np.bincount(left, minlength=n_max + 1) - np.bincount(shared, minlength=n_max + 1)
     return np.cumsum(exact[::-1])[::-1][1:].tolist()
@@ -119,11 +110,11 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     sampled indices below len(w). Restricted to a finite w this is a lower
     bound for the quantity on the corresponding infinite word.
 
-    Every progression with step d is a window of one residue stream
-    data[r::d], so the profile is the factor count of those streams joined
-    by _END. They hold about len(w)^2 bytes, hence the _ARITH_MAXLEN cap,
-    and the sort about ceil(log2 n_max) rank levels of that size, hence the
-    _ARITH_CELLS cap.
+    Each pair i < j starts one progression i, j, 2j - i, ..., a record of
+    its step, last index and name, the dense rank of the word it reads. Each
+    n extends the records that still fit by one symbol and renames them by
+    (name, next symbol), and a(n) is the number of names. The records peak
+    near 35 bytes per pair for any n_max, hence the _ARITH_MAXLEN cap on L.
     """
     _check_profile_args(w, n_max)
     data = w.data
@@ -131,18 +122,25 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     if L > _ARITH_MAXLEN:
         raise BudgetError(f"arithmetic complexity takes words of at most "
                           f"{_ARITH_MAXLEN} symbols, got {L}")
-    cells = L * L * (n_max - 1).bit_length()
-    if cells > _ARITH_CELLS:
-        raise BudgetError(f"arithmetic complexity of {L} symbols up to n = {n_max} needs "
-                          f"L^2 * ceil(log2 n_max) = {cells} rank cells, over the "
-                          f"limit of {_ARITH_CELLS}")
-    # streams of one symbol repeat a symbol of the d = 1 stream, data itself;
-    # joining one step at a time keeps few slices alive at once
-    streams = bytearray(data)
-    for d in range(2, L):
-        streams.append(_END)
-        streams += bytes([_END]).join([data[r::d] for r in range(min(d, L - d))])
-    counts = _factor_counts(streams, n_max)
+    import numpy as np
+
+    symbols = np.frombuffer(data, dtype=np.uint8)
+    last, step = (a.astype(np.int32) for a in np.triu_indices(L, 1))
+    step -= last
+    name = symbols[last]  # the one-symbol words i, named by their uint8 symbol
+    counts = [len(set(data))]
+    for _ in range(2, n_max + 1):
+        last += step
+        fits = last < L
+        step, last, name = step[fits], last[fits], name[fits]
+        nxt = symbols[last]
+        # stable sorts by next symbol (radix), then name (radix on uint8, else a k-run merge)
+        order = np.argsort(nxt, kind="stable")
+        order = order[np.argsort(name[order], kind="stable")]
+        step, last, name, nxt = step[order], last[order], name[order], nxt[order]
+        fresh = (name[1:] != name[:-1]) | (nxt[1:] != nxt[:-1])
+        name = np.cumsum(np.r_[False, fresh], dtype=np.int32)
+        counts.append(int(name[-1]) + 1)
     return ComplexityProfile("arithmetic", tuple(counts))
 
 
@@ -322,6 +320,8 @@ def delta_factorize(v: Word) -> Word:
 
 # ---------------------------------------------------------------------------
 # palindromes
+
+_END = 255  # Alphabet caps at 255 labels, so byte 255 is never a symbol
 
 
 def palindromic_factor_count(w: Word) -> int:

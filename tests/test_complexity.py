@@ -280,7 +280,8 @@ WIDE = Alphabet(chr(0x100 + i) for i in range(255))  # the largest alphabet allo
 @settings(max_examples=300, deadline=None)
 @given(k=st.sampled_from((1, 2, 3, 4, 255)), data=st.data())
 def test_arithmetic_complexity_matches_the_loop(k, data):
-    # on 255 letters the top symbol is byte 254, one below the stream separator
+    # on 255 letters the draws lean to the top symbols, bytes 252..254: the
+    # largest values the uint8 names of one-symbol words take
     alphabet = WIDE if k == 255 else Alphabet("abcd"[:k])
     top = st.integers(k - 3, k - 1) if k == 255 else st.integers(0, k - 1)
     symbols = data.draw(st.lists(st.one_of(st.integers(0, k - 1), top),
@@ -304,28 +305,31 @@ def test_arithmetic_complexity_memory():
 
 
 def test_arithmetic_complexity_length_cap():
-    # too long a word; then L = 4096 with n_max = L, whose 12 rank levels of
-    # ~L^2 int32 entries exceed the cap on rank cells
+    # refused before numpy or any record is touched
     w = fixed_point_prefix(fibonacci_morphism(), "a", complexity._ARITH_MAXLEN + 1)
-    for word, n_max, match in ((w, 2, "at most 4096 symbols, got 4097"),
-                               (w[:-1], 4096, "rank cells")):
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetError, match=match):
-                arithmetic_complexity(word, n_max)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="at most 4096 symbols, got 4097"):
+            arithmetic_complexity(w, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
-def test_arithmetic_complexity_rank_cell_cap_boundary(monkeypatch):
-    # the cap counts ceil(log2 n_max) levels: n_max = 8 needs 3, n_max = 9 needs 4
-    monkeypatch.setattr(complexity, "_ARITH_CELLS", 3 * 40 ** 2)
-    w = fixed_point_prefix(fibonacci_morphism(), "a", 40)
-    assert list(arithmetic_complexity(w, 8).counts) == arithmetic_loop(w.data, 8)
-    with pytest.raises(BudgetError, match="= 6400 rank cells, over the limit of 4800"):
-        arithmetic_complexity(w, 9)
+def test_arithmetic_complexity_whole_profile_memory():
+    # n_max = L: the records shrink level by level, so memory is set by L alone
+    w = fixed_point_prefix(fibonacci_morphism(), "a", 2048)
+    arithmetic_complexity(w[:10], 8)  # any lazy import happens outside the trace
+    tracemalloc.start()
+    try:
+        profile = arithmetic_complexity(w, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.counts[:10] == (2, 4, 8, 16, 30, 52, 83, 128, 189, 260)
+    assert len(profile.counts) == 2048
+    assert peak < 128 * 2 ** 20
 
 
 def test_arithmetic_complexity_small_word():
@@ -354,6 +358,8 @@ def test_factor_is_dominated_by_arithmetic():
         a = arithmetic_complexity(w, len(w))
         for n in range(1, len(w) + 1):
             assert 1 <= p.count(n) <= a.count(n) <= k ** n
+            if 2 * n > len(w) + 1:  # only step 1 fits n symbols
+                assert a.count(n) == p.count(n)
 
 
 # ---------------------------------------------------------------------------
