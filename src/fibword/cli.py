@@ -5,13 +5,15 @@ or after the command name; a value after it wins. JSON output is one object
 per invocation with a "command" key and sorted keys, so runs are
 byte-for-byte reproducible; exact rationals serialize as "num/den".
 Errors go to stderr as a one-line JSON object and set the exit status:
-1 for bad input or usage, 2 for an exhausted resource budget.
+1 for bad input or usage, 2 for an exhausted resource budget. A closed
+stdout exits 1 with nothing on stderr.
 """
 
 import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -682,7 +684,12 @@ def main(argv=None) -> int:
         _fail("domain", str(exc))
         return EXIT_DOMAIN
     payload["command"] = args.command
-    _emit(args.format, payload, *rendered)
+    try:
+        _emit(args.format, payload, *rendered)
+        sys.stdout.flush()
+    except BrokenPipeError:  # quietly: devnull takes the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     # only verify reports "passed", false when one of its checks failed
     return EXIT_DOMAIN if payload.get("passed") is False else EXIT_OK
 

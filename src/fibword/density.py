@@ -208,37 +208,27 @@ def _poly_eval(m: int, x: float) -> float:
     return v
 
 
-def _poly_deriv(m: int, x: float) -> float:
-    v = float(m)
-    for k in range(m - 1, 0, -1):
-        v = v * x - k
-    return v
-
-
 def perron_eigenvalue(m: int) -> PerronData:
     """Root of x^m = x^(m-1) + ... + 1 in (1, 2), plus spectral side data.
 
-    The root is found by bisection and polished by Newton steps; the other
-    eigenvalues come from the companion matrix and feed the Pisot flag.
+    Bisection on the dyadics a/2^60 with exact signs 2^(60m)·p(a/2^60) brackets
+    the root; rho is the lower end rounded once, so within 1 ulp of the root.
+    The other eigenvalues come from the companion matrix and feed the Pisot flag.
     """
     mbonacci_alphabet(m)  # rejects m outside 2..35 before any root finding
     import numpy as np
 
-    lo, hi = 1.0, 2.0
+    lo, hi = 1 << 60, 2 << 60  # p(1) = 1 - m < 0 < 1 = p(2)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _poly_eval(m, mid) < 0.0:
+        mid = (lo + hi) >> 1
+        v = 1
+        for t in range(1, m + 1):
+            v = v * mid - (1 << 60 * t)
+        if v < 0:
             lo = mid
         else:
             hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(50):
-        fx = _poly_eval(m, x)
-        step = fx / _poly_deriv(m, x)
-        x -= step
-        if abs(step) <= 1e-16 * x:
-            break
-    rho = x
+    rho = lo / 2 ** 60
     coeffs = [1.0] + [-1.0] * m
     roots = np.roots(coeffs)
     conj = sorted(

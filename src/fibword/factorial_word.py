@@ -161,29 +161,30 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
 
 
 def _log_factorial_fracs(base: int, n_max: int) -> Iterator[float]:
-    """frac(log_b n!) for n = 0..n_max, from a compensated sum of log(j)/log(b)."""
+    """frac(log_b n!) for n = 0..n_max, an exact sum mod 1 of terms on the 2^-52 grid."""
     log_base = math.log(base)
-    log_sum = comp = 0.0
-    yield 0.0
+    frac = 0.0
+    yield frac
     for j in range(1, n_max + 1):
-        term = math.log(j) / log_base
-        y = term - comp
-        t = log_sum + y
-        comp = (t - log_sum) - y
-        log_sum = t
-        yield log_sum - math.floor(log_sum)
+        # frac(log(j)/log(b)), exact for j >= b and rounded to the grid by 1.0 below
+        frac += (math.log(j) / log_base % 1.0 + 1.0) - 1.0
+        if frac >= 1.0:
+            frac -= 1.0
+        yield frac
 
 
 def _frac_error_bound(base: int, n_max: int) -> float:
     """Proven bound on the error of every frac _log_factorial_fracs(base, n_max) yields.
 
-    Assume math.log is within 1 ulp; let u = 2^-53. Each term log(j)/log(b) is then within
-    5u + O(u^2) of log_b j, relative; compensated summation adds 2u + O(n u^2) (Higham 2002,
-    sec. 4.3). So log_sum is off by at most (7u + O(n u^2))·S, S = log_b n! <= n·log_b n + 1,
-    and frac subtracts floor(log_sum) exactly. The 10u·(n·log_b n + 1) returned leaves 3u·S
-    for the O(n u^2) terms (n < 2^40) and for the rounding of this formula.
+    Assume math.log is within 1 ulp; let u = 2^-53. Each quotient log(j)/log(b) is then within
+    5u + O(u^2) of log_b j, relative, and % 1.0 keeps its fractional part exactly; for j < b,
+    where that part is below 1, the trip through 1.0 rounds it by at most u. Every term and
+    frac is a multiple of 2^-52 below 2, so the sums add no error: the frac is off mod 1 by at
+    most (5u + O(u^2))·S + min(n, b - 1)·u, S = log_b n! <= n·log_b n + 1. The 6u·(n·log_b n
+    + 1) returned leaves u·S for the O(u^2) terms and for the rounding of this formula.
     """
-    return 5 * 2.0 ** -52 * (n_max * math.log(max(n_max, 1)) / math.log(base) + 1)
+    return 2.0 ** -53 * (6 * (n_max * math.log(max(n_max, 1)) / math.log(base) + 1)
+                         + min(n_max, base - 1))
 
 
 def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int | None:

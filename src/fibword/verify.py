@@ -109,7 +109,7 @@ def check_perron_data(seed: int = 0) -> str:
         assert data.eigen_residual < 1e-9, f"m={m}: eigen residual {data.eigen_residual}"
         assert data.pisot, f"m={m}: expected the Pisot flag"
     rho3 = density.perron_eigenvalue(3).rho
-    assert abs(rho3 - 1.8392867552) < 1e-9, f"rho_3 = {rho3}"
+    assert rho3 == 1.8392867552141612, f"rho_3 = {rho3!r}"
     return f"m = 2..8 all pass; rho_3 = {rho3:.10f}"
 
 

@@ -585,6 +585,23 @@ def _probe(code: str) -> str:
                           capture_output=True, text=True, timeout=60).stdout
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_1_quietly(fmt):
+    """A reader that stops after 100 bytes gets no traceback, and the exit code is 1."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # 300 000 symbols overfill the pipe, so the writer is still blocked when it closes
+    argv = [sys.executable, "-m", "fibword.cli", "generate", "--morphism", "fibonacci",
+            "--length", "300000", "--format", fmt]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_cli_import_starts_no_process_pool():
     """Importing the CLI loads no multiprocessing or concurrent module."""
     probe = ("import fibword.cli, sys; print(sorted(m for m in sys.modules "

@@ -201,7 +201,17 @@ def test_rare_letter_target_is_inverse_golden_squared():
 
 def test_perron_known_values():
     assert perron_eigenvalue(2).rho == pytest.approx(GOLDEN_RATIO, abs=1e-12)
-    assert perron_eigenvalue(3).rho == pytest.approx(1.8392867552141612, abs=1e-12)
+    assert perron_eigenvalue(3).rho == 1.8392867552141612
+
+
+@pytest.mark.parametrize("m", range(2, 36))
+def test_perron_rho_is_correctly_rounded(m):
+    # the bracketing solver keeps the root in (1, 2); float() of an mpf rounds to nearest
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda x: x ** m - sum(x ** i for i in range(m)),
+                               (1, 2), solver="anderson")
+        assert 1 < root < 2
+        assert perron_eigenvalue(m).rho == float(root)
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 
@@ -395,13 +396,13 @@ def test_weyl_error_bound_is_small():
 
 @pytest.mark.parametrize("base", [2, 10, 36])
 def test_log_factorial_fracs_within_bound_of_mpmath(base):
-    # frac(loggamma(n + 1) / ln b) at 40 digits, at every 997th n <= 2e5
+    # frac(loggamma(n + 1) / ln b) at 40 digits, at every n <= 3b + 50 and every 997th n <= 2e5
     n_max = 200_000
     worst = 0.0
     with mpmath.workdps(40):
         ln_base = mpmath.log(base)
         for n, frac in enumerate(_log_factorial_fracs(base, n_max)):
-            if n % 997:
+            if n % 997 and n > 3 * base + 50:  # every n while terms with j < b are rounded
                 continue
             exact = mpmath.loggamma(n + 1) / ln_base
             err = abs(mpmath.mpf(frac) - (exact - mpmath.floor(exact)))
@@ -410,6 +411,31 @@ def test_log_factorial_fracs_within_bound_of_mpmath(base):
     assert worst <= 1.0
     assert logfactorial_equidistribution(base, n_max).summation_error_bound == \
         _frac_error_bound(base, n_max)
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.integers(2, 36), n_max=st.integers(0, 2000))
+def test_log_factorial_fracs_are_exact_sums_of_grid_terms(base, n_max):
+    # each term is frac(log(j)/log(b)) rounded to the 2^-52 grid, ties to even, as
+    # float addition of 1.0 rounds it; the walk must be their exact sum mod 1
+    grid = 2 ** 52
+    log_base = math.log(base)
+    total = Fraction(0)
+    for n, frac in enumerate(_log_factorial_fracs(base, n_max)):
+        if n:
+            t = Fraction(math.log(n) / log_base)
+            total = (total + Fraction(round((t - math.floor(t)) * grid), grid)) % 1
+        k = frac * grid
+        assert k == int(k) and 0 <= k < grid, (n, frac)
+        assert Fraction(frac) == total, n
+
+
+def test_frac_error_bound_is_below_the_compensated_sum_bound():
+    # 10u(n log_b n + 1) was the bound of the compensated float sum this walk replaced
+    for base in range(2, 37):
+        for n in [*range(1, 200), 997, 10 ** 3, 8 * 10 ** 4, 10 ** 6, 10 ** 9]:
+            old = 10 * 2.0 ** -53 * (n * math.log(n) / math.log(base) + 1)
+            assert 0 < _frac_error_bound(base, n) < old, (base, n)
 
 
 def test_weyl_single_point():
