@@ -11,6 +11,8 @@ stdout exits 1 with nothing on stderr.
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -61,8 +63,12 @@ def _emit(fmt: str, payload: dict, text_lines, csv_rows=None) -> None:
         if csv_rows is None:
             csv_rows = [("key", "value")]
             csv_rows += [(k, _plain(v)) for k, v in sorted(payload.items()) if k != "command"]
-        writer = csv.writer(sys.stdout)
-        writer.writerows(csv_rows)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        # the last line ending goes in a write of its own, as with print: an
+        # unbuffered stdout drops what a short write leaves over silently,
+        # and only the next write to a closed pipe raises BrokenPipeError
+        print(buf.getvalue()[:-2], end="\r\n")
     else:
         for line in text_lines:
             print(line)
@@ -352,22 +358,15 @@ def cmd_golden(args) -> tuple:
 
 def cmd_perron(args) -> tuple:
     data = density.perron_eigenvalue(args.m)
-    payload = {
-        "m": data.m,
-        "rho": data.rho,
-        "tolerance": data.tolerance,
-        "poly_residual": data.poly_residual,
-        "frequencies": list(data.frequencies),
-        "frequency_sum_error": data.frequency_sum_error,
-        "eigen_residual": data.eigen_residual,
-        "conjugate_moduli": list(data.conjugate_moduli),
-        "pisot": data.pisot,
-    }
+    payload = dataclasses.asdict(data)
+    lo, hi = data.bracket
     lines = [
         f"rho_{data.m} = {data.rho!r}",
+        f"root in [{lo}, {hi}]",
         f"|p(rho)| = {data.poly_residual:.2e}",
         "frequencies: " + ", ".join(f"{f:.12f}" for f in data.frequencies),
-        f"conjugate moduli: " + ", ".join(f"{c:.6f}" for c in data.conjugate_moduli),
+        "conjugate moduli (estimates): "
+        + ", ".join(f"{c:.6f}" for c in data.conjugate_moduli),
         f"Pisot: {'yes' if data.pisot else 'no'}",
     ]
     return payload, lines

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .errors import BalanceViolation, DomainError
 from .modfib import fib
-from .words import Word, adjacency_matrix, mbonacci_alphabet, mbonacci_morphism
+from .words import Word, mbonacci_alphabet
 
 
 def symbol_frequency(w: Word, symbol: "int | str") -> Fraction:
@@ -163,10 +163,17 @@ def golden_deviation_below(d: Fraction, eps: Fraction) -> bool:
 
 
 def golden_deviation(d: Fraction) -> Fraction:
-    """|d - (phi - 1)| to 30 decimal places, as an exact rational."""
-    scale = 10 ** 30
-    root = math.isqrt(5 * scale * scale)  # floor(sqrt(5) * 10^30)
-    golden = (Fraction(root, scale) - 1) / 2
+    """|d - (phi - 1)| as a rational within a relative 2^-65 of the true value.
+
+    With d = a/b, d^2 + d - 1 = (d - (phi - 1))(d + phi) and b^2·(d^2 + d - 1)
+    = a^2 + ab - b^2 is a nonzero integer, so the deviation is at least
+    1/(b^2·|d + phi|) > 1/(b·(|a| + 2b)). Taking sqrt(5) to 2^-s with
+    2^s >= 2^64·b·(|a| + 2b) keeps the error below 2^-65 of the deviation.
+    """
+    a, b = d.numerator, d.denominator
+    s = b.bit_length() + (abs(a) + 2 * b).bit_length() + 64
+    root = math.isqrt(5 << 2 * s)  # floor(sqrt(5) * 2^s)
+    golden = (Fraction(root, 1 << s) - 1) / 2
     return abs(d - golden)
 
 
@@ -190,30 +197,31 @@ class PerronData:
     """Dominant eigenvalue data of the m-letter substitution matrix."""
 
     m: int
-    rho: float
-    poly_residual: float
-    frequencies: tuple[float, ...]   # (rho^-1, ..., rho^-m), the symbol frequencies
-    frequency_sum_error: float       # |sum - 1|
-    eigen_residual: float            # max_j |(d A)_j - rho d_j|
-    conjugate_moduli: tuple[float, ...]
-    pisot: bool
-    tolerance: float = 1e-12
+    rho: float                           # bracket[0] rounded once, within 1 ulp of the root
+    bracket: tuple[Fraction, Fraction]   # (a, a + 1) / 2^60 with p < 0 < p at its ends
+    poly_residual: float                 # |p(rho)|, exact and rounded once
+    frequencies: tuple[float, ...]       # (rho^-1, ..., rho^-m), the symbol frequencies
+    frequency_sum_error: float           # |sum - 1| of those floats, rounded once
+    conjugate_moduli: tuple[float, ...]  # np.roots estimates, largest first
+    pisot: bool                          # true for every m, by Brauer's theorem
 
 
-def _poly_eval(m: int, x: float) -> float:
-    # x^m - x^(m-1) - ... - x - 1 by Horner
-    v = 1.0
-    for _ in range(m):
-        v = v * x - 1.0
+def _scaled_poly(m: int, a: int, k: int) -> int:
+    """2^(km)·p(a/2^k) for p(x) = x^m - x^(m-1) - ... - x - 1, exactly."""
+    v = 1
+    for t in range(1, m + 1):  # Horner, scaled by 2^k per step
+        v = v * a - (1 << k * t)
     return v
 
 
 def perron_eigenvalue(m: int) -> PerronData:
     """Root of x^m = x^(m-1) + ... + 1 in (1, 2), plus spectral side data.
 
-    Bisection on the dyadics a/2^60 with exact signs 2^(60m)·p(a/2^60) brackets
-    the root; rho is the lower end rounded once, so within 1 ulp of the root.
-    The other eigenvalues come from the companion matrix and feed the Pisot flag.
+    Bisection on the dyadics a/2^60 with exact signs of 2^(60m)·p(a/2^60)
+    brackets the root between lo and lo + 2^-60. rho = lo and the frequencies
+    lo^-i are each rounded once, so within 1 ulp of the root and its powers
+    (lo^-i is within 35·2^-60 relative of them). p is Pisot for every m >= 2
+    (Brauer, Math. Nachr. 4, 1951); the conjugate moduli are np.roots estimates.
     """
     mbonacci_alphabet(m)  # rejects m outside 2..35 before any root finding
     import numpy as np
@@ -221,32 +229,23 @@ def perron_eigenvalue(m: int) -> PerronData:
     lo, hi = 1 << 60, 2 << 60  # p(1) = 1 - m < 0 < 1 = p(2)
     for _ in range(60):
         mid = (lo + hi) >> 1
-        v = 1
-        for t in range(1, m + 1):
-            v = v * mid - (1 << 60 * t)
-        if v < 0:
+        if _scaled_poly(m, mid, 60) < 0:
             lo = mid
         else:
             hi = mid
     rho = lo / 2 ** 60
-    coeffs = [1.0] + [-1.0] * m
-    roots = np.roots(coeffs)
-    conj = sorted(
-        (float(abs(z)) for z in roots if abs(z - rho) > 1e-6), reverse=True
-    )
-    freqs = tuple(rho ** -(i + 1) for i in range(m))
-    matrix = adjacency_matrix(mbonacci_morphism(m))
-    resid = max(
-        abs(sum(freqs[i] * matrix[i][j] for i in range(m)) - rho * freqs[j])
-        for j in range(m)
-    )
+    num, den = rho.as_integer_ratio()  # den = 2^k
+    k = den.bit_length() - 1
+    freqs = tuple((1 << 60 * i) / lo ** i for i in range(1, m + 1))
+    # rho is the one root of modulus > 1, so the other m - 1 are the smallest
+    moduli = sorted(map(float, np.abs(np.roots([1] + [-1] * m))), reverse=True)
     return PerronData(
         m=m,
         rho=rho,
-        poly_residual=abs(_poly_eval(m, rho)),
+        bracket=(Fraction(lo, 1 << 60), Fraction(hi, 1 << 60)),
+        poly_residual=abs(_scaled_poly(m, num, k)) / (1 << k * m),
         frequencies=freqs,
-        frequency_sum_error=abs(sum(freqs) - 1.0),
-        eigen_residual=resid,
-        conjugate_moduli=tuple(conj),
-        pisot=bool(conj and max(conj) < 1.0 - 1e-9),
+        frequency_sum_error=abs(math.fsum((*freqs, -1.0))),
+        conjugate_moduli=tuple(moduli[1:]),
+        pisot=True,
     )

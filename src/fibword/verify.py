@@ -103,11 +103,18 @@ def check_golden_density(seed: int = 0) -> str:
 def check_perron_data(seed: int = 0) -> str:
     for m in range(2, 9):
         data = density.perron_eigenvalue(m)
+        lo, hi = data.bracket
+        p = [x ** m - sum(x ** i for i in range(m)) for x in (lo, hi)]
+        assert p[0] < 0 < p[1], f"m={m}: p does not change sign on {lo}..{hi}"
         assert data.poly_residual < 1e-10, f"m={m}: |p(rho)| = {data.poly_residual}"
         assert data.frequency_sum_error < 1e-10, \
             f"m={m}: frequency sum off by {data.frequency_sum_error}"
-        assert data.eigen_residual < 1e-9, f"m={m}: eigen residual {data.eigen_residual}"
-        assert data.pisot, f"m={m}: expected the Pisot flag"
+        # the frequencies are a left eigenvector of the substitution matrix
+        freqs, matrix = data.frequencies, words.adjacency_matrix(words.mbonacci_morphism(m))
+        resid = max(abs(sum(freqs[i] * matrix[i][j] for i in range(m)) - data.rho * freqs[j])
+                    for j in range(m))
+        assert resid < 1e-9, f"m={m}: eigen residual {resid}"
+        assert data.pisot and max(data.conjugate_moduli) < 1, f"m={m}: not Pisot"
     rho3 = density.perron_eigenvalue(3).rho
     assert rho3 == 1.8392867552141612, f"rho_3 = {rho3!r}"
     return f"m = 2..8 all pass; rho_3 = {rho3:.10f}"

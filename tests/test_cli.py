@@ -208,6 +208,28 @@ def test_perron_command(capsys):
     assert payload["rho"] == pytest.approx(1.8392867552141612)
     assert payload["pisot"] is True
     assert len(payload["frequencies"]) == 3
+    lo, hi = map(Fraction, payload["bracket"])
+    assert hi - lo == Fraction(1, 2 ** 60) and payload["rho"] == float(lo)
+
+
+def test_json_keys_are_the_schema_properties(capsys):
+    """Each command the schema describes prints exactly its declared keys."""
+    invocations = {
+        "density": ["density", "--prime", "7"],
+        "pisano": ["pisano", "7"],
+        "perron": ["perron", "--m", "3"],
+        "densbrute": ["densbrute", "--prime", "7"],
+        "generate": ["generate", "--morphism", "fibonacci", "--length", "5"],
+        "error": ["pisano", "1"],
+    }
+    entries = {e["if"]["properties"]["command"]["const"]: e["then"] for e in SCHEMA["allOf"]}
+    assert sorted(entries) == sorted(invocations)
+    for command, argv in invocations.items():
+        code, out, err = run(capsys, *argv, "--format", "json")
+        payload = json.loads(err if command == "error" else out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["command"] == command
+        assert set(payload) == {"command", *entries[command]["properties"]}, command
 
 
 def test_pisano_text_is_bare_number(capsys):
@@ -585,21 +607,23 @@ def _probe(code: str) -> str:
                           capture_output=True, text=True, timeout=60).stdout
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_closed_stdout_exits_1_quietly(fmt):
     """A reader that stops after 100 bytes gets no traceback, and the exit code is 1."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     # 300 000 symbols overfill the pipe, so the writer is still blocked when it closes
     argv = [sys.executable, "-m", "fibword.cli", "generate", "--morphism", "fibonacci",
             "--length", "300000", "--format", fmt]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
-    assert err == b""
+    # unbuffered, the blocked write comes back short instead of raising
+    for unbuffered in ("", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1, unbuffered
+        assert err == b"", unbuffered
 
 
 def test_cli_import_starts_no_process_pool():

@@ -182,6 +182,14 @@ def test_golden_deviation_certificate():
     assert golden_deviation_below(Fraction(1, 2), Fraction(1, 4))
 
 
+def test_golden_deviation_rounds_to_the_nearest_float():
+    with mpmath.workdps(200):
+        target = (mpmath.sqrt(5) - 1) / 2
+        for n, r in enumerate(golden_density(300), start=1):
+            want = float(abs(mpmath.mpf(r.numerator) / r.denominator - target))
+            assert float(golden_deviation(r)) == want, n
+
+
 def test_golden_deviation_magnitude():
     dev10 = golden_deviation(fibonacci_ratio(10))
     dev20 = golden_deviation(fibonacci_ratio(20))
@@ -204,14 +212,42 @@ def test_perron_known_values():
     assert perron_eigenvalue(3).rho == 1.8392867552141612
 
 
+def mbonacci_poly(m, x):
+    return x ** m - sum(x ** i for i in range(m))
+
+
+def mpmath_root(m):
+    # the bracketing solver keeps the root in (1, 2)
+    root = mpmath.findroot(lambda x: mbonacci_poly(m, x), (1, 2), solver="anderson")
+    assert 1 < root < 2
+    return root
+
+
 @pytest.mark.parametrize("m", range(2, 36))
 def test_perron_rho_is_correctly_rounded(m):
-    # the bracketing solver keeps the root in (1, 2); float() of an mpf rounds to nearest
+    with mpmath.workdps(50):  # float() of an mpf rounds to nearest
+        assert perron_eigenvalue(m).rho == float(mpmath_root(m))
+
+
+@pytest.mark.parametrize("m", range(2, 36))
+def test_perron_frequencies_are_within_one_ulp(m):
     with mpmath.workdps(50):
-        root = mpmath.findroot(lambda x: x ** m - sum(x ** i for i in range(m)),
-                               (1, 2), solver="anderson")
-        assert 1 < root < 2
-        assert perron_eigenvalue(m).rho == float(root)
+        root = mpmath_root(m)
+        for i, f in enumerate(perron_eigenvalue(m).frequencies, start=1):
+            assert abs(f - root ** -i) <= math.ulp(f), i
+
+
+@pytest.mark.parametrize("m", range(2, 36))
+def test_perron_data_is_exact(m):
+    data = perron_eigenvalue(m)
+    lo, hi = data.bracket
+    assert hi - lo == Fraction(1, 2 ** 60)
+    assert mbonacci_poly(m, lo) < 0 < mbonacci_poly(m, hi)
+    assert data.rho == float(lo)
+    assert data.poly_residual == float(abs(mbonacci_poly(m, Fraction(data.rho))))
+    assert data.frequency_sum_error == float(abs(sum(map(Fraction, data.frequencies)) - 1))
+    assert len(data.conjugate_moduli) == m - 1
+    assert all(0 < c < 1 for c in data.conjugate_moduli)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -219,7 +255,6 @@ def test_perron_data_quality(m):
     data = perron_eigenvalue(m)
     assert data.poly_residual < 1e-10
     assert data.frequency_sum_error < 1e-10
-    assert data.eigen_residual < 1e-9
     assert data.pisot
     assert 1 < data.rho < 2
     assert len(data.frequencies) == m
