@@ -11,6 +11,7 @@ _DEFAULTS = {
     "COVERAGE_CELLS": 20_000_000,  # bitmap cells (b**k) for coverage profiles
     "SP_TOTAL_MAXLEN": 400,        # word length cap for scattered palindrome totals
     "SP_LENGTH_MAXLEN": 64,        # cap for the per-length decomposition
+    "LOG_FACTORIAL_TERMS": 100_000_000,  # n of the frac(log_b n!) walk (weyl, leading)
 }
 
 

@@ -56,13 +56,19 @@ def _plain(value):
     return value
 
 
+def _csv_cell(value):
+    """A key/value CSV cell; a list or dict is written as JSON, so a reader can parse it back."""
+    return json.dumps(value, sort_keys=True) if isinstance(value, (list, dict)) else value
+
+
 def _emit(fmt: str, payload: dict, text_lines, csv_rows=None) -> None:
     if fmt == "json":
         print(json.dumps(_plain(payload), sort_keys=True))
     elif fmt == "csv":
         if csv_rows is None:
             csv_rows = [("key", "value")]
-            csv_rows += [(k, _plain(v)) for k, v in sorted(payload.items()) if k != "command"]
+            csv_rows += [(k, _csv_cell(_plain(v))) for k, v in sorted(payload.items())
+                         if k != "command"]
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
         # the last line ending goes in a write of its own, as with print: an
@@ -500,6 +506,7 @@ def cmd_weyl(args) -> tuple:
         "bins": args.bins,
         "weyl_magnitude": report.weyl_magnitude,
         "error_bound": report.summation_error_bound,
+        "magnitude_error_bound": report.magnitude_error_bound,
         "min_bin": min(report.histogram),
         "max_bin": max(report.histogram),
         "histogram": list(report.histogram),
@@ -508,6 +515,7 @@ def cmd_weyl(args) -> tuple:
         f"|S_N| / N = {report.weyl_magnitude:.6f} for N = {args.n_max}, "
         f"h = {args.frequency}",
         f"rounding error bound {report.summation_error_bound:.2e}",
+        f"|S_N| / N error bound {report.magnitude_error_bound:.2e}",
         f"histogram of {{log_b n!}} over {args.bins} bins: "
         f"min {min(report.histogram)}, max {max(report.histogram)}",
     ]

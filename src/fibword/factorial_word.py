@@ -160,21 +160,43 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     return CoverageReport(base, k, consumed, found, cells, missing)
 
 
-def _log_factorial_fracs(base: int, n_max: int) -> Iterator[float]:
-    """frac(log_b n!) for n = 0..n_max, an exact sum mod 1 of terms on the 2^-52 grid."""
+_FRAC_BLOCK = 1 << 16  # fracs per block of the walk
+_GRID = 1 << 52        # every term and frac is a multiple of 2^-52
+
+
+def _log_factorial_frac_blocks(base: int, n_max: int) -> Iterator[tuple[int, "np.ndarray"]]:
+    """frac(log_b n!) for n = 0..n_max as (first n, float64 array) blocks of at most 2^16.
+
+    Each frac is an exact sum mod 1 of the terms frac(log(j)/log(b)), kept on the 2^-52
+    grid: as integers k_j = term·2^52, a uint64 cumsum (wrapping mod 2^64 is exact) plus
+    the carry of the blocks before, masked to the sum mod 2^52.
+    """
+    import numpy as np
+
     log_base = math.log(base)
-    frac = 0.0
-    yield frac
-    for j in range(1, n_max + 1):
+    carry = 0
+    yield 0, np.zeros(1)  # 0! = 1
+    for start in range(1, n_max + 1, _FRAC_BLOCK):
+        stop = min(start + _FRAC_BLOCK, n_max + 1)
+        # math.log, whose 1-ulp accuracy _frac_error_bound assumes
+        logs = np.fromiter(map(math.log, range(start, stop)), np.float64, stop - start)
         # frac(log(j)/log(b)), exact for j >= b and rounded to the grid by 1.0 below
-        frac += (math.log(j) / log_base % 1.0 + 1.0) - 1.0
-        if frac >= 1.0:
-            frac -= 1.0
-        yield frac
+        terms = (logs / log_base % 1.0 + 1.0) - 1.0
+        sums = np.cumsum((terms * _GRID).astype(np.uint64), dtype=np.uint64)
+        sums += carry
+        sums &= _GRID - 1
+        carry = int(sums[-1])
+        yield start, sums * (1.0 / _GRID)
+
+
+def _check_n_budget(n: int) -> None:
+    limit = budget("LOG_FACTORIAL_TERMS")
+    if n > limit:
+        raise BudgetError(f"n = {n} exceeds the log-factorial term budget {limit}")
 
 
 def _frac_error_bound(base: int, n_max: int) -> float:
-    """Proven bound on the error of every frac _log_factorial_fracs(base, n_max) yields.
+    """Proven bound on the error of every frac _log_factorial_frac_blocks(base, n_max) yields.
 
     Assume math.log is within 1 ulp; let u = 2^-53. Each quotient log(j)/log(b) is then within
     5u + O(u^2) of log_b j, relative, and % 1.0 keeps its fractional part exactly; for j < b,
@@ -204,6 +226,9 @@ def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int
         raise DomainError("a leading-digit prefix cannot start with 0")
     if n_budget < 0:
         raise DomainError("n budget must be nonnegative")
+    _check_n_budget(n_budget)
+    import numpy as np
+
     m = len(prefix)
     K = int(str(prefix), base)
     # n! starts with K iff frac(log_b n!) is in [log_b K, log_b(K + 1)) - (m - 1). The
@@ -212,8 +237,9 @@ def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int
     margin = _frac_error_bound(base, n_budget) + (m + 1) * 2.0 ** -50
     lo = math.log(K, base) - (m - 1) - margin
     hi = math.log(K + 1, base) - (m - 1) + margin
-    for n, frac in enumerate(_log_factorial_fracs(base, n_budget)):
-        if lo <= frac <= hi or frac - 1.0 >= lo or frac + 1.0 <= hi:
+    for start, fracs in _log_factorial_frac_blocks(base, n_budget):
+        near = (lo <= fracs) & (fracs <= hi) | (fracs - 1.0 >= lo) | (fracs + 1.0 <= hi)
+        for n in (np.flatnonzero(near) + start).tolist():
             f = math.factorial(n)
             # divide by b^s with d - m - 3 <= s <= d - m for the d digits of f
             head = f // base ** max(0, int((f.bit_length() - 1) * math.log(2, base)) - m)
@@ -235,6 +261,27 @@ class WeylReport:
     histogram: tuple[int, ...]      # counts of frac values per bin
     bins: int
     summation_error_bound: float    # proven bound on each frac's error (_frac_error_bound)
+    magnitude_error_bound: float    # proven bound on weyl_magnitude's error
+
+
+def _magnitude_error_bound(frac_bound: float, n_max: int, frequency: int) -> float:
+    """Proven bound on the error of weyl_magnitude over n_max fracs each within frac_bound.
+
+    Let u = 2^-53 and h = frequency. As |e^(ia) - e^(ib)| <= |a - b| and h is an integer,
+    each exponential moves by at most 2πh·frac_bound through its frac, and by 2πh·γ_3 <
+    2πh·4u through the angle: 2π·h and the product with the frac round once each, and
+    math.pi once. Assume np.cos and np.sin are within 1 ulp, 2u for values of modulus at
+    most 1, as _frac_error_bound assumes of math.log: 2√2·u < 3u per exponential. A block's
+    np.sum may sum in any order (numpy documents pairwise summation only as "often"), so
+    its m terms take at most m - 1 roundings, and the running sum over the blocks one more
+    each: γ_H·n for each of re and im, H < R = min(n, 2^16) + ceil(n / 2^16). hypot (under
+    1 ulp) and the division by n add 3u relative to a magnitude of at most 1 + 2u. Divided
+    by n, the total is under 2πh·(frac_bound + 4u) + (√2·R + 8)·u; the slack covers the
+    O(u^2) terms and the rounding of this formula.
+    """
+    u = 2.0 ** -53
+    roundings = min(n_max, _FRAC_BLOCK) + -(-n_max // _FRAC_BLOCK)
+    return 2 * math.pi * frequency * (frac_bound + 4 * u) + (math.sqrt(2) * roundings + 8) * u
 
 
 def logfactorial_equidistribution(base: int, n_max: int, frequency: int = 1,
@@ -252,15 +299,20 @@ def logfactorial_equidistribution(base: int, n_max: int, frequency: int = 1,
         raise DomainError("frequency must be at least 1")
     if bins < 1:
         raise DomainError("bins must be at least 1")
-    hist = [0] * bins
+    _check_n_budget(n_max)
+    import numpy as np
+
+    hist = np.zeros(bins, np.int64)
     re = im = 0.0
     two_pi_n = 2.0 * math.pi * frequency
-    for frac in islice(_log_factorial_fracs(base, n_max), 1, None):  # j = 1..n_max
-        bin_at = min(int(frac * bins), bins - 1)
-        hist[bin_at] += 1
-        angle = two_pi_n * frac
-        re += math.cos(angle)
-        im += math.sin(angle)
+    for _, fracs in islice(_log_factorial_frac_blocks(base, n_max), 1, None):  # j = 1..n_max
+        # the bin of min(int(frac * bins), bins - 1), elementwise; np.add.at costs
+        # nothing per bin, where a bincount of every block would cost O(bins) each
+        np.add.at(hist, np.minimum((fracs * bins).astype(np.int64), bins - 1), 1)
+        angles = two_pi_n * fracs
+        re += float(np.cos(angles).sum())
+        im += float(np.sin(angles).sum())
     magnitude = math.hypot(re, im) / n_max
-    return WeylReport(base, n_max, frequency, magnitude, tuple(hist), bins,
-                      _frac_error_bound(base, n_max))
+    frac_bound = _frac_error_bound(base, n_max)
+    return WeylReport(base, n_max, frequency, magnitude, tuple(hist.tolist()), bins,
+                      frac_bound, _magnitude_error_bound(frac_bound, n_max, frequency))

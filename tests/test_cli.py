@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
@@ -212,6 +213,17 @@ def test_perron_command(capsys):
     assert hi - lo == Fraction(1, 2 ** 60) and payload["rho"] == float(lo)
 
 
+def test_csv_list_cells_read_back_as_json(capsys):
+    payload = run_json(capsys, "perron", "--m", "2")[1]
+    code, out, err = run(capsys, "perron", "--m", "2", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = dict(csv.reader(io.StringIO(out)))
+    lists = {key for key, value in payload.items() if isinstance(value, list)}
+    assert lists == {"bracket", "frequencies", "conjugate_moduli"}
+    for key in lists:
+        assert json.loads(rows[key]) == payload[key], key
+
+
 def test_json_keys_are_the_schema_properties(capsys):
     """Each command the schema describes prints exactly its declared keys."""
     invocations = {
@@ -220,6 +232,7 @@ def test_json_keys_are_the_schema_properties(capsys):
         "perron": ["perron", "--m", "3"],
         "densbrute": ["densbrute", "--prime", "7"],
         "generate": ["generate", "--morphism", "fibonacci", "--length", "5"],
+        "weyl": ["weyl", "--n-max", "50"],
         "error": ["pisano", "1"],
     }
     entries = {e["if"]["properties"]["command"]["const"]: e["then"] for e in SCHEMA["allOf"]}
@@ -336,6 +349,22 @@ def test_weyl_command(capsys):
     assert code == 0
     assert sum(payload["histogram"]) == 2000
     assert payload["weyl_magnitude"] < 0.2
+
+
+@pytest.mark.parametrize("argv", [["weyl", "--n-max"], ["leading", "--target", "7", "--n-budget"]])
+def test_log_factorial_walk_budget_exit_code(capsys, monkeypatch, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "100000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "resource"
+    assert error["error"] == \
+        "n = 100000000000 exceeds the log-factorial term budget 100000000"
+    monkeypatch.setenv("FIBWORD_LOG_FACTORIAL_TERMS", "1000")
+    assert run(capsys, *argv, "1000", "--format", "json")[0] == 0
+    code, out, err = run(capsys, *argv, "1001")
+    assert code == 2 and json.loads(err)["error"].endswith("budget 1000")
 
 
 def test_verify_subset(capsys):
@@ -652,8 +681,6 @@ def test_numpy_free_commands_do_not_import_numpy():
         ["golden", "--n-max", "10"],
         ["pisano", "7"],
         ["lucaszeros", "7"],
-        ["leading", "--target", "7", "--n-budget", "10"],
-        ["weyl", "--n-max", "50"],
         ["verify", "--only", "golden-density"],
     ]
     requests = numpy_free + [["complexity", "--text", "abaab", "--n-max", "2"]]

@@ -5,6 +5,7 @@ from functools import lru_cache
 from itertools import islice, product
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,12 @@ from fibword import (
     logfactorial_equidistribution,
 )
 from fibword import factorial_word
-from fibword.factorial_word import _frac_error_bound, _log_factorial_fracs
+from fibword.factorial_word import (
+    _FRAC_BLOCK,
+    _frac_error_bound,
+    _log_factorial_frac_blocks,
+    _magnitude_error_bound,
+)
 
 PREFIX_21 = "112624120720504040320"
 
@@ -330,13 +336,13 @@ def test_leading_digits_where_frac_is_near_0_or_1(monkeypatch, sign):
     # 1, 10, 100 start the window at frac 0 and b-1 repeated ends it at 1. Every
     # frac is also moved by half the walk's bound, wrapping at 0 and 1: 0! = 1
     # then reads as frac just under 1, and "1" is found only past the wrap.
-    walk = factorial_word._log_factorial_fracs
+    walk = factorial_word._log_factorial_frac_blocks
 
     def moved(base, n_max):
         delta = sign * _frac_error_bound(base, n_max) / 2
-        return ((frac + delta) % 1.0 for frac in walk(base, n_max))
+        return ((start, (fracs + delta) % 1.0) for start, fracs in walk(base, n_max))
 
-    monkeypatch.setattr(factorial_word, "_log_factorial_fracs", moved)
+    monkeypatch.setattr(factorial_word, "_log_factorial_frac_blocks", moved)
     for base in (2, 10, 16):
         top = DIGIT_LABELS[base - 1]
         for target in ("1", "10", "100", top, top * 2, top * 3):
@@ -372,6 +378,93 @@ def test_leading_digits_not_found_returns_none():
 
 
 # ---------------------------------------------------------------------------
+# the walk of frac(log_b n!)
+
+
+def log_factorial_fracs_oracle(base, n_max):
+    """frac(log_b n!) for n = 0..n_max, one exact float sum mod 1 per n: the scalar walk."""
+    log_base = math.log(base)
+    frac = 0.0
+    yield frac
+    for j in range(1, n_max + 1):
+        frac += (math.log(j) / log_base % 1.0 + 1.0) - 1.0
+        if frac >= 1.0:
+            frac -= 1.0
+        yield frac
+
+
+def block_walk(base, n_max):
+    """The library walk's blocks joined into one list, after checking where each starts."""
+    blocks = list(_log_factorial_frac_blocks(base, n_max))
+    starts = range(1, n_max + 1, _FRAC_BLOCK)
+    assert [(start, len(fracs)) for start, fracs in blocks] == \
+        [(0, 1), *((start, min(_FRAC_BLOCK, n_max + 1 - start)) for start in starts)]
+    return np.concatenate([fracs for _, fracs in blocks]).tolist()
+
+
+def leading_by_scalar_walk(base, target, n_budget, fracs):
+    """The search as one scalar window test per n over the oracle's fracs."""
+    m = len(target)
+    K = int(target, base)
+    margin = _frac_error_bound(base, n_budget) + (m + 1) * 2.0 ** -50
+    lo = math.log(K, base) - (m - 1) - margin
+    hi = math.log(K + 1, base) - (m - 1) + margin
+    for n, frac in enumerate(fracs[: n_budget + 1]):
+        if (lo <= frac <= hi or frac - 1.0 >= lo or frac + 1.0 <= hi) \
+                and leading_head(n, base, m) == K:
+            return n
+    return None
+
+
+@lru_cache(maxsize=None)
+def leading_head(n, base, m):
+    """The leading m base-b digits of n! as an int, by one division."""
+    f = math.factorial(n)
+    head = f // base ** max(0, int((f.bit_length() - 1) * math.log(2, base)) - m)
+    while head >= base ** m:
+        head //= base
+    return head
+
+
+EDGES = (_FRAC_BLOCK - 1, _FRAC_BLOCK, _FRAC_BLOCK + 1, 2 * _FRAC_BLOCK + 5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(base=st.integers(2, 36), n_max=st.sampled_from(EDGES), data=st.data())
+def test_block_walk_equals_the_scalar_walk_across_block_edges(base, n_max, data):
+    fracs = list(log_factorial_fracs_oracle(base, n_max))
+    assert np.array(block_walk(base, n_max)).tobytes() == np.array(fracs).tobytes()
+
+    bins = data.draw(st.sampled_from((1, 7, 10, 100, 1000)), label="bins")
+    hist = [0] * bins
+    for frac in fracs[1:]:
+        hist[min(int(frac * bins), bins - 1)] += 1
+    report = logfactorial_equidistribution(base, n_max, bins=bins)
+    assert report.histogram == tuple(hist)
+
+    # the leading digits of a factorial at the first block edge, cut to m digits
+    n_t = data.draw(st.integers(_FRAC_BLOCK - 1, min(n_max, _FRAC_BLOCK + 2)), label="n_t")
+    m = data.draw(st.integers(1, 8), label="m")
+    target = np.base_repr(leading_head(n_t, base, m), base).lower()
+    want = leading_by_scalar_walk(base, target, n_max, fracs)
+    assert want is not None and want <= n_t
+    assert leading_digits_search(base, target, n_max) == want
+
+
+def test_numpy_cos_and_sin_are_within_one_ulp_of_mpmath():
+    # _magnitude_error_bound assumes this, as _frac_error_bound assumes it of math.log;
+    # the angles are 2πh·frac for the walk's fracs and for uniform ones, h = 1, 3
+    fracs = np.array(block_walk(10, 3000) + random.Random(36).choices(range(2 ** 52), k=3000))
+    fracs[3001:] *= 2.0 ** -52
+    angles = np.concatenate([2.0 * math.pi * h * fracs for h in (1, 3)]).tolist()
+    with mpmath.workdps(40):
+        for ours, exact in ((np.cos, mpmath.cos), (np.sin, mpmath.sin)):
+            for angle, value in zip(angles, ours(np.array(angles)).tolist()):
+                want = exact(mpmath.mpf(angle))
+                assert abs(mpmath.mpf(value) - want) <= math.ulp(float(want)), (ours, angle)
+
+
+# ---------------------------------------------------------------------------
 # equidistribution diagnostics
 
 
@@ -401,7 +494,7 @@ def test_log_factorial_fracs_within_bound_of_mpmath(base):
     worst = 0.0
     with mpmath.workdps(40):
         ln_base = mpmath.log(base)
-        for n, frac in enumerate(_log_factorial_fracs(base, n_max)):
+        for n, frac in enumerate(block_walk(base, n_max)):
             if n % 997 and n > 3 * base + 50:  # every n while terms with j < b are rounded
                 continue
             exact = mpmath.loggamma(n + 1) / ln_base
@@ -421,7 +514,7 @@ def test_log_factorial_fracs_are_exact_sums_of_grid_terms(base, n_max):
     grid = 2 ** 52
     log_base = math.log(base)
     total = Fraction(0)
-    for n, frac in enumerate(_log_factorial_fracs(base, n_max)):
+    for n, frac in enumerate(block_walk(base, n_max)):
         if n:
             t = Fraction(math.log(n) / log_base)
             total = (total + Fraction(round((t - math.floor(t)) * grid), grid)) % 1
@@ -436,6 +529,29 @@ def test_frac_error_bound_is_below_the_compensated_sum_bound():
         for n in [*range(1, 200), 997, 10 ** 3, 8 * 10 ** 4, 10 ** 6, 10 ** 9]:
             old = 10 * 2.0 ** -53 * (n * math.log(n) / math.log(base) + 1)
             assert 0 < _frac_error_bound(base, n) < old, (base, n)
+
+
+def test_weyl_magnitude_within_its_bound_of_mpmath():
+    # |1/n sum of e(h·frac(log_10 j!))| at 30 digits, log_10 j! summed in mpmath
+    checks = (1, 2, 7, 100, 999, 4096, 20_000)
+    exact = {}
+    with mpmath.workdps(30):
+        ln_10 = mpmath.log(10)
+        log_fact = mpmath.mpf(0)
+        sums = {1: mpmath.mpc(0), 3: mpmath.mpc(0)}
+        for j in range(1, checks[-1] + 1):
+            log_fact += mpmath.log(j)
+            x = log_fact / ln_10
+            x -= mpmath.floor(x)
+            for h in sums:
+                sums[h] += mpmath.expj(2 * mpmath.pi * h * x)
+            if j in checks:
+                exact.update({(j, h): float(abs(s) / j) for h, s in sums.items()})
+    for (n, h), want in exact.items():
+        report = logfactorial_equidistribution(10, n, h)
+        bound = _magnitude_error_bound(_frac_error_bound(10, n), n, h)
+        assert report.magnitude_error_bound == bound < 1e-8
+        assert abs(report.weyl_magnitude - want) <= bound, (n, h)
 
 
 def test_weyl_single_point():
