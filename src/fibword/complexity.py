@@ -34,20 +34,53 @@ def _check_profile_args(w: Word, n_max: int) -> None:
 def factor_complexity(w: Word, n_max: int) -> ComplexityProfile:
     """Count distinct length-n factors of w for each n in 1..n_max.
 
-    The suffixes of w are sorted by their first n_max symbols with
-    Karp-Miller-Rosenberg prefix doubling, as in Manber-Myers suffix-array
-    construction (SIAM J. Comput. 22, 1993), stopping at the first length
-    2^k >= n_max or once every suffix is told apart. Each adjacent pair's
-    longest common prefix then gives p(n) = (len(w) - n + 1) - #{pairs with
-    lcp >= n}. That takes at most ceil(log2 n_max) stable re-sorts and keeps
-    one int32 rank per symbol for each level.
+    Each position i is named by the lexicographic rank of w[i:i + h], cut off
+    at the end of w, for h = 1, 2, 4, ... as in Karp-Miller-Rosenberg naming
+    (STOC 1972): the names for 2h rank the pairs of names for h through a
+    direct table, or a sort once the table would be too large. A last step
+    names overlapping halves, so the final names are the windows of length
+    n_max exactly, and it stops early once every window is told apart. One
+    position per name gives the distinct windows already in order; the longest
+    common prefix of each adjacent pair, by binary lifting over the levels,
+    gives p(n) = #{windows of length >= n} - #{pairs with lcp >= n}. Only
+    those windows, about p(n_max) + n_max of them, reach that step.
     """
     _check_profile_args(w, n_max)
     counts = _factor_counts(w.data, n_max)
     return ComplexityProfile("factor", tuple(counts))
 
 
-_ARITH_MAXLEN = 4096  # the records of the L^2 / 2 pairs peak at about 35 bytes each
+_ARITH_MAXLEN = 4096  # the records of the L^2 / 2 pairs peak at about 19 bytes each
+_NAME_TABLE_CELLS = 1 << 22  # _rename ranks codes through a table of at most this size
+
+
+def _rename(code: "np.ndarray", cells: int) -> "tuple[np.ndarray, int]":
+    """Dense int32 ranks 1, 2, ... of codes in 0..cells - 1, in code order, and their count."""
+    import numpy as np
+
+    if cells <= _NAME_TABLE_CELLS:
+        seen = np.zeros(cells, dtype=bool)
+        seen[code] = True
+        rank = np.cumsum(seen, dtype=np.int32)
+        return rank[code], int(rank[-1])
+    order = np.argsort(code)
+    ordered = code[order]
+    fresh = np.empty(len(code), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    del ordered
+    rank = np.cumsum(fresh, dtype=np.int32)
+    del fresh
+    names = np.empty(len(code), dtype=np.int32)
+    names[order] = rank
+    return names, int(rank[-1])
+
+
+def _code_type(cells: int) -> type:
+    """int32 when every code below cells fits in it, else int64."""
+    import numpy as np
+
+    return np.int32 if cells <= 2 ** 31 else np.int64
 
 
 def _factor_counts(data: bytes, n_max: int) -> list[int]:
@@ -55,51 +88,44 @@ def _factor_counts(data: bytes, n_max: int) -> list[int]:
     import numpy as np
 
     L = len(data)
-    # rank[i] names the first h symbols of the suffix at i; a suffix shorter
-    # than h sorts before its extensions, and rank[L] = -1 marks the end
-    symbols = np.frombuffer(data, dtype=np.uint8)
-    rank = np.empty(L + 1, dtype=np.int32)
-    rank[:L] = symbols
-    rank[L] = -1
-    order = np.argsort(symbols, kind="stable").astype(np.int32)  # a radix sort
-    key = symbols[order]
-    tied = key[1:] == key[:-1]  # adjacent suffixes in order share h symbols
-    levels = []
+    # name[i] ranks w[i:i + h], cut off at L, among these words from 1 up; the
+    # name past the end, name[L], is 0 for the empty word. K is one more than
+    # the largest name, and names are kept in 16 bits while they fit.
+    name = np.zeros(L + 1, dtype=np.uint16)
+    name[:L], K = _rename(np.frombuffer(data, dtype=np.uint8), 256)
+    K += 1
+    levels = []  # the names for h = 1, 2, 4, ...
     h = 1
-    while h < n_max and tied.any():
-        levels.append(rank)
-        # the suffixes by the rank of their next h symbols: those that end
-        # within h first, then the old order shifted back by h
-        second = np.concatenate((np.arange(L - h, L, dtype=np.int32),
-                                 order[order >= h] - h))
-        key = rank[second]
-        # on 16-bit keys numpy's stable argsort is a radix sort
-        small = rank[order[-1]] < 2 ** 16  # the largest name, order being sorted
-        by_first = np.argsort(key.astype(np.uint16) if small else key, kind="stable")
-        order = second[by_first]
-        del second, by_first  # only order and tied carry over to the next level
-        key = rank[order]
-        nxt = rank[np.minimum(order + h, L)]
-        tied = (key[1:] == key[:-1]) & (nxt[1:] == nxt[:-1])
-        del key, nxt
-        rank = np.empty(L + 1, dtype=np.int32)
-        rank[L] = -1
-        rank[order[0]] = 0
-        rank[order[1:]] = np.cumsum(~tied, dtype=np.int32)
-        h *= 2
-    # a tied pair shares at least h >= n_max symbols; an untied pair's common
-    # prefix is shorter than h and is found by binary lifting over the levels
-    shared = np.full(len(tied), n_max, dtype=np.int32)
-    apart = np.flatnonzero(~tied)
-    a, b = order[apart], order[apart + 1]
-    lcp = np.zeros(len(apart), dtype=np.int32)
+    while h < n_max and K <= L:  # K <= L: some two windows are still equal
+        levels.append(name)
+        # w[i:i + h + shift] is w[i:i + h] then, overlapping it when shift < h,
+        # w[i + shift:i + shift + h]; name * K + next keeps their order
+        shift = min(h, n_max - h)
+        code = name[:L].astype(_code_type(K * K))
+        code *= K
+        code[: L - shift + 1] += name[shift:]
+        names, K = _rename(code, K * K)
+        del code
+        name = np.zeros(L + 1, dtype=np.uint16 if K < 2 ** 16 else np.int32)
+        name[:L] = names
+        del names
+        K += 1
+        h += shift
+    # one position per name: the distinct windows of length n_max (fewer at
+    # the end of w), in lexicographic order
+    rep = np.empty(K, dtype=np.int32)
+    rep[name[:L]] = np.arange(L, dtype=np.int32)
+    del name
+    rep = rep[1:]
+    # adjacent windows differ, so their common prefix is no longer than the
+    # shorter of the two and below 2^len(levels); binary lifting finds it
+    a, b = rep[:-1], rep[1:]
+    lcp = np.zeros(len(a), dtype=np.int32)
     for j in reversed(range(len(levels))):
-        lcp += (levels[j][a + lcp] == levels[j][b + lcp]) << j
-    shared[apart] = lcp
-    del levels, rank, tied, apart, a, b, lcp
-    left = np.minimum(np.arange(L, 0, -1), n_max)  # the suffix lengths, up to n_max
-    np.minimum(shared, left[order[1:]], out=shared)
-    exact = np.bincount(left, minlength=n_max + 1) - np.bincount(shared, minlength=n_max + 1)
+        level = levels.pop()
+        lcp += (level[a + lcp] == level[b + lcp]) * np.int32(1 << j)
+    left = np.minimum(L - rep, n_max)  # the window lengths
+    exact = np.bincount(left, minlength=n_max + 1) - np.bincount(lcp, minlength=n_max + 1)
     return np.cumsum(exact[::-1])[::-1][1:].tolist()
 
 
@@ -113,8 +139,10 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     Each pair i < j starts one progression i, j, 2j - i, ..., a record of
     its step, last index and name, the dense rank of the word it reads. Each
     n extends the records that still fit by one symbol and renames them by
-    (name, next symbol), and a(n) is the number of names. The records peak
-    near 35 bytes per pair for any n_max, hence the _ARITH_MAXLEN cap on L.
+    (name, next symbol), and a(n) is the number of names. Once every record
+    has its own name, so do their extensions, and a(n) is the number of
+    records that fit. The records peak near 19 bytes per pair for any n_max,
+    hence the _ARITH_MAXLEN cap on L.
     """
     _check_profile_args(w, n_max)
     data = w.data
@@ -125,22 +153,33 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     import numpy as np
 
     symbols = np.frombuffer(data, dtype=np.uint8)
-    last, step = (a.astype(np.int32) for a in np.triu_indices(L, 1))
-    step -= last
-    name = symbols[last]  # the one-symbol words i, named by their uint8 symbol
+    k = int(symbols.max()) + 1
+    # the pairs grouped by step d = j - i, each group's start i running 0..L-1-d
+    pairs = np.arange(L - 1, 0, -1, dtype=np.int32)  # L - d of them for each d
+    step = np.repeat(np.arange(1, L, dtype=np.int32), pairs)
+    last = np.arange(len(step), dtype=np.int32)
+    last -= np.repeat(np.cumsum(pairs, dtype=np.int32) - pairs, pairs)
+    del pairs
+    name = symbols[last]  # the one-symbol words i, named by their symbol
+    K = k  # one more than the largest name
     counts = [len(set(data))]
-    for _ in range(2, n_max + 1):
+    for n in range(2, n_max + 1):
         last += step
         fits = last < L
         step, last, name = step[fits], last[fits], name[fits]
-        nxt = symbols[last]
-        # stable sorts by next symbol (radix), then name (radix on uint8, else a k-run merge)
-        order = np.argsort(nxt, kind="stable")
-        order = order[np.argsort(name[order], kind="stable")]
-        step, last, name, nxt = step[order], last[order], name[order], nxt[order]
-        fresh = (name[1:] != name[:-1]) | (nxt[1:] != nxt[:-1])
-        name = np.cumsum(np.r_[False, fresh], dtype=np.int32)
-        counts.append(int(name[-1]) + 1)
+        code = name.astype(_code_type(K * k))
+        code *= k
+        code += symbols[last]
+        name, count = _rename(code, K * k)
+        del code
+        K = count + 1
+        counts.append(count)
+        if count == len(name):
+            # the room[r] more symbols each record still fits
+            room = (L - 1 - last) // step
+            fit = np.cumsum(np.bincount(room, minlength=n_max - n + 1)[::-1])[::-1]
+            counts += fit[1 : n_max - n + 1].tolist()
+            break
     return ComplexityProfile("arithmetic", tuple(counts))
 
 

@@ -26,7 +26,7 @@ def _occurrence_prefix(data: bytes, s: int) -> np.ndarray:
     import numpy as np
 
     occ = np.frombuffer(data, dtype=np.uint8) == s
-    # int32 halves the bytes that each of balance_check's per-n passes reads
+    # int32 halves the bytes that each pass over windows of 2^16 or more symbols reads
     prefix = np.zeros(len(data) + 1, dtype=np.int32)
     np.cumsum(occ, dtype=np.int32, out=prefix[1:])
     return prefix
@@ -106,11 +106,15 @@ def balance_check(w: Word, symbol: "int | str", target: float,
     if not math.isfinite(target):
         raise DomainError(f"target must be a finite number, got {target}")
     prefix = _occurrence_prefix(w.data, s)
+    # a window of n < 2^16 symbols holds fewer than 2^16 occurrences, so the prefix
+    # sums mod 2^16 count it exactly by wrapping subtraction, reading half the bytes
+    short = prefix.astype(np.uint16) if ns[0] < 2 ** 16 else None
     num, den = float(target).as_integer_ratio()
     rows = []
     worst = (-1, 0, 0)  # (den * |count - n * target|, n, position)
     for n in ns:
-        counts = prefix[n:] - prefix[:-n]
+        sums = short if n < 2 ** 16 else prefix
+        counts = sums[n:] - sums[:-n]
         hi_at = int(np.argmax(counts))
         lo_at = int(np.argmin(counts))
         above = int(counts[hi_at]) * den - n * num     # den * (count - n * target)

@@ -212,8 +212,10 @@ def _frac_error_bound(base: int, n_max: int) -> float:
 def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int | None:
     """Smallest n <= n_budget such that n! written in base b starts with prefix.
 
-    A filter on frac(log_b n!), widened by its proven error bound, proposes
-    candidates; each is confirmed on the leading digits of math.factorial(n).
+    A window test on frac(log_b n!) decides each n: a frac inside the target
+    window by more than its proven error bound is a hit, one outside it by more
+    than the bound a miss. Only a frac within the bound of an edge is confirmed
+    on the leading digits of math.factorial(n).
     """
     alphabet = digit_alphabet(base)
     if isinstance(prefix, str):
@@ -231,23 +233,31 @@ def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int
 
     m = len(prefix)
     K = int(str(prefix), base)
-    # n! starts with K iff frac(log_b n!) is in [log_b K, log_b(K + 1)) - (m - 1). The
-    # edges are off by 5u·m and the tests round by 3u, both under (m + 1)·2^-50; the
-    # widened window may wrap past 0 or 1.
+    # n! starts with K iff frac(log_b n!) is in [log_b K, log_b(K + 1)) - (m - 1), inside
+    # [0, 1]. The edges are off by 5u·m and the tests round by 3u, both under
+    # (m + 1)·2^-50. Every hit lies in [lo, hi], which may wrap past 0 or 1, and every
+    # frac in [sure_lo, sure_hi] is a hit.
     margin = _frac_error_bound(base, n_budget) + (m + 1) * 2.0 ** -50
-    lo = math.log(K, base) - (m - 1) - margin
-    hi = math.log(K + 1, base) - (m - 1) + margin
+    start_edge = math.log(K, base) - (m - 1)
+    end_edge = math.log(K + 1, base) - (m - 1)
+    lo, hi = start_edge - margin, end_edge + margin
+    sure_lo, sure_hi = start_edge + margin, end_edge - margin
     for start, fracs in _log_factorial_frac_blocks(base, n_budget):
         near = (lo <= fracs) & (fracs <= hi) | (fracs - 1.0 >= lo) | (fracs + 1.0 <= hi)
-        for n in (np.flatnonzero(near) + start).tolist():
-            f = math.factorial(n)
-            # divide by b^s with d - m - 3 <= s <= d - m for the d digits of f
-            head = f // base ** max(0, int((f.bit_length() - 1) * math.log(2, base)) - m)
-            while head >= base ** m:
-                head //= base
-            if head == K:
-                return n
+        for i in np.flatnonzero(near).tolist():
+            if sure_lo <= fracs[i] <= sure_hi or _leading_head(start + i, base, m) == K:
+                return start + i
     return None
+
+
+def _leading_head(n: int, base: int, m: int) -> int:
+    """The leading m base-b digits of n! as an int, exactly."""
+    f = math.factorial(n)
+    # divide by b^s with d - m - 3 <= s <= d - m for the d digits of f
+    head = f // base ** max(0, int((f.bit_length() - 1) * math.log(2, base)) - m)
+    while head >= base ** m:
+        head //= base
+    return head
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,13 +170,79 @@ def test_factor_complexity_edge_words(letters, length):
 
 
 def test_factor_complexity_past_16_bit_names():
-    # 10^5 random symbols over 4 letters have more than 2^16 distinct names
-    # from h = 16 on, so the sort leaves its 16-bit radix keys mid-run
+    # 10^5 random symbols over 4 letters have about 5·10^4 distinct windows of
+    # length 8, so their pair codes pass the table cap and are renamed by a sort
+    # from h = 8 on, and more than 2^16 from h = 16 on, where the names leave
+    # 16 bits
     rng = random.Random(17)
     w = Word.from_indices(Alphabet("abcd"), (rng.randrange(4) for _ in range(100_000)))
     counts = factor_complexity(w, 40).counts
     for n in (1, 8, 9, 16, 17, 24, 32, 33, 40):
         assert counts[n - 1] == len({w.data[i : i + n] for i in range(len(w) - n + 1)}), n
+
+
+def rename_cells(data, n_max):
+    """factor_complexity's counts and the table size each _rename call was given."""
+    with mock.patch.object(complexity, "_rename", wraps=complexity._rename) as spy:
+        counts = complexity._factor_counts(data, n_max)
+    return counts, [call.args[1] for call in spy.call_args_list]
+
+
+def rotation_word(alpha, length):
+    """A Sturmian (rotation) prefix: floor((i + 2)·alpha) - floor((i + 1)·alpha)."""
+    return bytes(math.floor((i + 2) * alpha) - math.floor((i + 1) * alpha) for i in range(length))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("wide", "sturmian", "thue-morse")), data=st.data())
+def test_factor_complexity_on_both_rename_branches(kind, data):
+    # 2400 or more random symbols over 255 letters have more than 2048 distinct
+    # windows of length 2, so the codes for length 4 pass the table cap and are
+    # renamed by a sort; Sturmian and Thue-Morse prefixes stay on the table
+    length = data.draw(st.integers(2400, 3000) if kind == "wide" else st.integers(1, 3000),
+                       label="length")
+    if kind == "wide":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        word = bytes(rng.randrange(255) for _ in range(length))
+    elif kind == "sturmian":
+        word = rotation_word(data.draw(st.floats(0.01, 0.99), label="alpha"), length)
+    else:
+        word = fixed_point_prefix(thue_morse_morphism(), "0", length).data
+    n_max = data.draw(st.integers(3 if kind == "wide" else 1, min(length, 80)), label="n_max")
+    counts, cells = rename_cells(word, n_max)
+    assert tuple(counts) == windows_oracle(word, n_max)
+    assert (max(cells) > complexity._NAME_TABLE_CELLS) == (kind == "wide")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=200)
+    .map(lambda symbols: bytes(symbols))))
+def test_factor_complexity_with_every_rename_sorted(data):
+    with mock.patch.object(complexity, "_NAME_TABLE_CELLS", 0):
+        counts = complexity._factor_counts(data, len(data))
+    assert tuple(counts) == windows_oracle(data, len(data))
+
+
+@pytest.mark.parametrize("cells", [2, 255, 256, 2 ** 22, 2 ** 22 + 1, 2 ** 40])
+def test_rename_is_a_dense_rank(cells):
+    rng = np.random.default_rng(cells)
+    code = rng.integers(0, cells, size=5000).astype(np.int32 if cells <= 2 ** 31 else np.int64)
+    names, count = complexity._rename(code, cells)
+    distinct, inverse = np.unique(code, return_inverse=True)
+    assert names.dtype == np.int32
+    assert count == len(distinct)
+    assert names.tolist() == (inverse + 1).tolist()
+
+
+def test_factor_complexity_around_powers_of_two():
+    # n_max = 2^k + 1 names the windows by two halves of 2^k that overlap in all
+    # but one symbol; 0^(2^k) 1 0^(2^k) 2 has windows told apart by that symbol
+    for k in range(1, 11):
+        assert_matches_automaton(Word.from_indices(
+            Alphabet("abc"), [0] * 2 ** k + [1] + [0] * 2 ** k + [2]))
+    for morphism, seed in ((fibonacci_morphism, "a"), (thue_morse_morphism, "0")):
+        assert_matches_automaton(fixed_point_prefix(morphism(), seed, 5000))
 
 
 def thue_morse_complexity(n):
@@ -212,6 +281,21 @@ def test_factor_complexity_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def test_factor_complexity_memory_at_a_million_symbols():
+    # the suffix-sort design this replaced peaked at 54 MiB on this call; the
+    # names take 2 bytes per symbol for each of the 8 levels
+    w = fixed_point_prefix(thue_morse_morphism(), "0", 10 ** 6)
+    factor_complexity(w[:1000], 200)  # any lazy import happens outside the trace
+    tracemalloc.start()
+    try:
+        profile = factor_complexity(w, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.counts == tuple(thue_morse_complexity(n) for n in range(1, 201))
+    assert peak < 36 * 2 ** 20
 
 
 def test_factor_complexity_rejects_bad_args():
@@ -289,6 +373,19 @@ def test_arithmetic_complexity_matches_the_loop(k, data):
     w = Word.from_indices(alphabet, symbols)
     n_max = data.draw(st.integers(1, len(w)), label="n_max")
     assert list(arithmetic_complexity(w, n_max).counts) == arithmetic_loop(w.data, n_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.sampled_from((1, 2, 3, 4, 255)), data=st.data())
+def test_arithmetic_complexity_with_every_rename_sorted(k, data):
+    alphabet = WIDE if k == 255 else Alphabet("abcd"[:k])
+    symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=40),
+                        label="symbols")
+    w = Word.from_indices(alphabet, symbols)
+    n_max = data.draw(st.integers(1, len(w)), label="n_max")
+    with mock.patch.object(complexity, "_NAME_TABLE_CELLS", 0):
+        counts = arithmetic_complexity(w, n_max).counts
+    assert list(counts) == arithmetic_loop(w.data, n_max)
 
 
 def test_arithmetic_complexity_memory():

@@ -147,6 +147,36 @@ def test_balance_check_is_exact_at_the_bound():
         balance_check(w, "0", 0.5 + 2.0 ** -40, range(1, 201))
 
 
+def balance_rows_int64(data, s, target, ns):
+    """balance_check's rows with every window counted from int64 prefix sums."""
+    prefix = numpy.concatenate(([0], numpy.cumsum(numpy.frombuffer(data, numpy.uint8) == s)))
+    exact = Fraction(target)
+    rows = []
+    for n in ns:
+        counts = prefix[n:] - prefix[:-n]
+        hi, lo = int(numpy.argmax(counts)), int(numpy.argmin(counts))
+        above = Fraction(int(counts[hi]), n) - exact
+        below = exact - Fraction(int(counts[lo]), n)
+        dev, pos = (above, hi) if above >= below else (below, lo)
+        rows.append((n, float(dev), pos))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("word, symbol, target", [
+    (lambda n: Word.from_string("a" * n, Alphabet("a")), "a", 1.0),
+    (lambda n: fixed_point_prefix(fibonacci_morphism(), "a", n), "b", RARE_LETTER_TARGET),
+], ids=["unary", "fibonacci"])
+def test_balance_check_across_the_16_bit_window_length(word, symbol, target):
+    # windows below 2^16 symbols are counted from uint16 sums mod 2^16; at 2^16
+    # a unary window would wrap to 0 there, so longer ones keep int32
+    w = word(200_000)
+    ns = [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]
+    report = balance_check(w, symbol, target, ns)
+    assert report.rows == balance_rows_int64(w.data, w.alphabet.index(symbol), target, ns)
+    for n in ns:
+        assert balance_check(w, symbol, target, [n]).rows == report.rows[ns.index(n):][:1]
+
+
 def test_balance_check_argument_validation():
     w = Word.from_string("abab", binary_alphabet())
     with pytest.raises(DomainError):

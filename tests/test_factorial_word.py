@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
@@ -7,7 +8,7 @@ from itertools import islice, product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibword import (
@@ -303,12 +304,12 @@ def leading_table(base, n_max=3000, width=4):
     return tuple(rows)
 
 
-def first_leading(base, target, budget):
+def first_leading(base, target, budget, width=4):
     """Smallest n <= budget whose n! starts with target, read off leading_table."""
     m = len(target)
     K = int(target, base)
-    for n, (d, top) in enumerate(leading_table(base)[: budget + 1]):
-        if d >= m and top // base ** (min(d, 4) - m) == K:
+    for n, (d, top) in enumerate(leading_table(base, width=width)[: budget + 1]):
+        if d >= m and top // base ** (min(d, width) - m) == K:
             return n
     return None
 
@@ -329,6 +330,45 @@ def test_leading_digits_match_an_exact_oracle(data):
     target = "".join(DIGIT_LABELS[d] for d in [first] + rest)
     budget = data.draw(st.integers(0, 1500), label="budget")
     assert leading_digits_search(base, target, budget) == first_leading(base, target, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leading_digits_hits_and_near_edge_misses(data):
+    # the leading m <= 24 digits of some n!, or the numbers one above and one below:
+    # n!'s frac then sits within b^-(m-1) of the window's edge, under the error
+    # bound for long targets, so both proven hits and exact confirmations are drawn
+    base = data.draw(st.integers(2, 36), label="base")
+    n = data.draw(st.integers(1, 3000), label="n")
+    d, top = leading_table(base, width=24)[n]
+    m = data.draw(st.integers(1, min(d, 24)), label="m")
+    K = top // base ** (min(d, 24) - m) + data.draw(st.sampled_from((-1, 0, 1)), label="delta")
+    assume(base ** (m - 1) <= K < base ** m)
+    target = np.base_repr(K, base).lower()
+    budget = data.draw(st.integers(max(0, n - 50), 3000), label="budget")
+    want = first_leading(base, target, budget, width=24)
+    assert leading_digits_search(base, target, budget) == want
+
+
+def test_leading_digits_decide_a_far_hit_from_the_bound(monkeypatch):
+    # 300000! starts with 1477391, and its frac sits far from both window edges
+    with mpmath.workdps(40):
+        log = mpmath.loggamma(300_001) / mpmath.log(10)
+        frac = log - mpmath.floor(log)
+        assert mpmath.floor(mpmath.power(10, frac + 6)) == 1477391
+        assert mpmath.log10(1477391) - 6 + 1e-9 < frac < mpmath.log10(1477392) - 6 - 1e-9
+    leading_digits_search(10, "12", 100)  # any lazy import happens outside the timing
+
+    def no_factorial(n):
+        raise AssertionError(f"math.factorial({n}) was computed")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    start = time.perf_counter()
+    n = leading_digits_search(10, "1477391", 300_000)
+    elapsed = time.perf_counter() - start
+    assert n == 300_000
+    # it took 1.36 s when every candidate was confirmed on math.factorial(n)
+    assert elapsed < 0.4
 
 
 @pytest.mark.parametrize("sign", [0, 1, -1])
