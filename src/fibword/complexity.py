@@ -58,22 +58,15 @@ def _rename(code: "np.ndarray", cells: int) -> "tuple[np.ndarray, int]":
     """Dense int32 ranks 1, 2, ... of codes in 0..cells - 1, in code order, and their count."""
     import numpy as np
 
-    if cells <= _NAME_TABLE_CELLS:
+    # the table costs O(cells) and the sort O(len(code) log len(code)); they
+    # break even near 8 cells a code
+    if cells <= min(_NAME_TABLE_CELLS, 8 * len(code) + 256):
         seen = np.zeros(cells, dtype=bool)
         seen[code] = True
         rank = np.cumsum(seen, dtype=np.int32)
         return rank[code], int(rank[-1])
-    order = np.argsort(code)
-    ordered = code[order]
-    fresh = np.empty(len(code), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    del ordered
-    rank = np.cumsum(fresh, dtype=np.int32)
-    del fresh
-    names = np.empty(len(code), dtype=np.int32)
-    names[order] = rank
-    return names, int(rank[-1])
+    distinct, inverse = np.unique(code, return_inverse=True)
+    return (inverse + 1).astype(np.int32), len(distinct)
 
 
 def _code_type(cells: int) -> type:
@@ -139,10 +132,8 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     Each pair i < j starts one progression i, j, 2j - i, ..., a record of
     its step, last index and name, the dense rank of the word it reads. Each
     n extends the records that still fit by one symbol and renames them by
-    (name, next symbol), and a(n) is the number of names. Once every record
-    has its own name, so do their extensions, and a(n) is the number of
-    records that fit. The records peak near 19 bytes per pair for any n_max,
-    hence the _ARITH_MAXLEN cap on L.
+    (name, next symbol), and a(n) is the number of names. The records peak
+    near 19 bytes per pair for any n_max, hence the _ARITH_MAXLEN cap on L.
     """
     _check_profile_args(w, n_max)
     data = w.data
@@ -163,7 +154,7 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     name = symbols[last]  # the one-symbol words i, named by their symbol
     K = k  # one more than the largest name
     counts = [len(set(data))]
-    for n in range(2, n_max + 1):
+    for _ in range(2, n_max + 1):
         last += step
         fits = last < L
         step, last, name = step[fits], last[fits], name[fits]
@@ -174,12 +165,6 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
         del code
         K = count + 1
         counts.append(count)
-        if count == len(name):
-            # the room[r] more symbols each record still fits
-            room = (L - 1 - last) // step
-            fit = np.cumsum(np.bincount(room, minlength=n_max - n + 1)[::-1])[::-1]
-            counts += fit[1 : n_max - n + 1].tolist()
-            break
     return ComplexityProfile("arithmetic", tuple(counts))
 
 

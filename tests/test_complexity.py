@@ -181,11 +181,12 @@ def test_factor_complexity_past_16_bit_names():
         assert counts[n - 1] == len({w.data[i : i + n] for i in range(len(w) - n + 1)}), n
 
 
-def rename_cells(data, n_max):
-    """factor_complexity's counts and the table size each _rename call was given."""
-    with mock.patch.object(complexity, "_rename", wraps=complexity._rename) as spy:
+def rename_branches(data, n_max):
+    """factor_complexity's counts and how many _rename calls used the table and the sort."""
+    with mock.patch.object(complexity, "_rename", wraps=complexity._rename) as renames, \
+            mock.patch.object(np, "unique", wraps=np.unique) as sorts:
         counts = complexity._factor_counts(data, n_max)
-    return counts, [call.args[1] for call in spy.call_args_list]
+    return counts, renames.call_count - sorts.call_count, sorts.call_count
 
 
 def rotation_word(alpha, length):
@@ -196,10 +197,12 @@ def rotation_word(alpha, length):
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(("wide", "sturmian", "thue-morse")), data=st.data())
 def test_factor_complexity_on_both_rename_branches(kind, data):
-    # 2400 or more random symbols over 255 letters have more than 2048 distinct
-    # windows of length 2, so the codes for length 4 pass the table cap and are
-    # renamed by a sort; Sturmian and Thue-Morse prefixes stay on the table
-    length = data.draw(st.integers(2400, 3000) if kind == "wide" else st.integers(1, 3000),
+    # the symbols are always named through the table; random words over 255
+    # letters have about 255 names of length 1, so their pair codes take more
+    # than 8 table cells a code and are named by the sort. Sturmian and
+    # Thue-Morse prefixes take the sort only on late levels of short prefixes,
+    # and not at all at scale (test_factor_complexity_closed_forms_at_scale).
+    length = data.draw(st.integers(2100, 3000) if kind == "wide" else st.integers(1, 3000),
                        label="length")
     if kind == "wide":
         rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
@@ -209,9 +212,11 @@ def test_factor_complexity_on_both_rename_branches(kind, data):
     else:
         word = fixed_point_prefix(thue_morse_morphism(), "0", length).data
     n_max = data.draw(st.integers(3 if kind == "wide" else 1, min(length, 80)), label="n_max")
-    counts, cells = rename_cells(word, n_max)
+    counts, tables, sorts = rename_branches(word, n_max)
     assert tuple(counts) == windows_oracle(word, n_max)
-    assert (max(cells) > complexity._NAME_TABLE_CELLS) == (kind == "wide")
+    assert tables >= 1
+    if kind == "wide":
+        assert sorts >= 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,15 +229,41 @@ def test_factor_complexity_with_every_rename_sorted(data):
     assert tuple(counts) == windows_oracle(data, len(data))
 
 
-@pytest.mark.parametrize("cells", [2, 255, 256, 2 ** 22, 2 ** 22 + 1, 2 ** 40])
-def test_rename_is_a_dense_rank(cells):
+@pytest.mark.parametrize("cells, size, table", [
+    (2, 5000, True),
+    (256, 1, True),
+    (40_256, 5000, True),  # 8 cells a code, plus 256
+    (40_257, 5000, False),
+    (2 ** 22, 2 ** 19, True),  # the cap
+    (2 ** 22 + 1, 2 ** 19, False),
+    (2 ** 40, 5000, False),
+])
+def test_rename_is_a_dense_rank(cells, size, table):
     rng = np.random.default_rng(cells)
-    code = rng.integers(0, cells, size=5000).astype(np.int32 if cells <= 2 ** 31 else np.int64)
-    names, count = complexity._rename(code, cells)
+    code = rng.integers(0, cells, size=size).astype(np.int32 if cells <= 2 ** 31 else np.int64)
+    with mock.patch.object(np, "unique", wraps=np.unique) as sorts:
+        names, count = complexity._rename(code, cells)
+    assert sorts.called != table
     distinct, inverse = np.unique(code, return_inverse=True)
     assert names.dtype == np.int32
     assert count == len(distinct)
     assert names.tolist() == (inverse + 1).tolist()
+
+
+def test_factor_complexity_memory_on_a_short_wide_word():
+    # 2048 random symbols over 255 letters have about 2000 names from h = 2
+    # on; a table of 2000^2 cells would take 20 MiB for 2048 codes
+    rng = random.Random(18)
+    w = Word.from_indices(WIDE, (rng.randrange(255) for _ in range(2048)))
+    factor_complexity(w[:10], 10)  # any lazy import happens outside the trace
+    tracemalloc.start()
+    try:
+        profile = factor_complexity(w, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.counts == windows_oracle(w.data, 2048)
+    assert peak < 2 ** 20
 
 
 def test_factor_complexity_around_powers_of_two():
@@ -268,6 +299,9 @@ def thue_morse_complexity(n):
 def test_factor_complexity_closed_forms_at_scale(morphism, seed, formula):
     w = fixed_point_prefix(morphism(), seed, 100_000)
     assert factor_complexity(w, 200).counts == tuple(formula(n) for n in range(1, 201))
+    # few names a level: every level is named through the table
+    counts, tables, sorts = rename_branches(w.data, 200)
+    assert (sorts, tables) == (0, 9)
 
 
 def test_factor_complexity_memory():
