@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 _DEFAULTS = {
     "MODULUS_LIMIT": 10_000_000,   # largest p**lambda the brute-force scan accepts
@@ -27,3 +27,16 @@ def budget(name: str) -> int:
     if value <= 0:
         raise DomainError(f"FIBWORD_{name} must be positive, got {value}")
     return value
+
+
+def charge(name: str, used: int, what: str) -> None:
+    """Refuse `used` units of the budget `name` once they pass its limit.
+
+    Callers charge whole requests or whole levels of a walk, never single
+    symbols or nodes. `what` names the work and its amount, as in
+    "word length 500"; the refusal reads
+    "<what> exceeds the FIBWORD_<name> budget <limit>".
+    """
+    limit = budget(name)
+    if used > limit:
+        raise BudgetError(f"{what} exceeds the FIBWORD_{name} budget {limit}")

@@ -3,7 +3,7 @@
 from array import array
 from dataclasses import dataclass
 
-from .budgets import budget
+from .budgets import budget, charge
 from .errors import BudgetError, DomainError, FactorizationError
 from .words import Alphabet, Morphism, Word, binary_alphabet, ternary_alphabet
 
@@ -183,7 +183,7 @@ def is_square_free(w: Word) -> bool:
     return all(_no_new_square(data[:j]) for j in range(2, len(data) + 1))
 
 
-def _no_new_square(w: bytearray) -> bool:
+def _no_new_square(w: bytes) -> bool:
     # w grew by one symbol; any new square must have its second half ending
     # at the last position, so only those alignments are checked.
     j = len(w)
@@ -193,40 +193,32 @@ def _no_new_square(w: bytearray) -> bool:
     return True
 
 
-def _subtree_counts(k: int, n_max: int, prefix: bytes, node_budget: int,
+def _subtree_counts(k: int, n_max: int, prefix: bytes,
                     found: list[bytes] | None = None) -> list[int]:
-    """Count square-free extensions of a prefix, by absolute length.
+    """Count the square-free words that extend prefix, by absolute length.
 
-    When found is a list, each square-free word met (the prefix included, if
-    nonempty) is appended to it in depth-first order.
+    The walk goes by length: each level holds the square-free one-letter
+    extensions of the level before. Before a level is built its k nodes per
+    word are charged to FIBWORD_CENSUS_NODES, so a refusal names the length
+    the walk reached. The counts end at n_max or at the first empty level.
+    When found is a list, the words of each level (the prefix included, if
+    nonempty) are appended to it by length, each level in lexicographic order.
     """
-    counts = [0] * (n_max + 1)
-    w = bytearray(prefix)
-    if w:
-        counts[len(w)] += 1
-        if found is not None:
-            found.append(bytes(w))
+    letters = [bytes((c,)) for c in range(k)]
+    counts = [0] * len(prefix) + [1]
+    level = [prefix]
+    if prefix and found is not None:
+        found.append(prefix)
     nodes = 0
-
-    def rec() -> None:
-        nonlocal nodes
-        if len(w) == n_max:
-            return
-        for c in range(k):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError(
-                    f"square-free walk exceeded its node budget of {node_budget}"
-                )
-            w.append(c)
-            if _no_new_square(w):
-                counts[len(w)] += 1
-                if found is not None:
-                    found.append(bytes(w))
-                rec()
-            w.pop()
-
-    rec()
+    while level and len(counts) <= n_max:
+        nodes += k * len(level)
+        charge("CENSUS_NODES", nodes,
+               f"the square-free walk to length {len(counts)} of {n_max}, at {nodes} nodes,")
+        level = [child for w in level for child in (w + c for c in letters)
+                 if _no_new_square(child)]
+        counts.append(len(level))
+        if found is not None:
+            found.extend(level)
     return counts
 
 
@@ -241,14 +233,15 @@ class SquareFreeCensus:
 
 def square_free_census(alphabet_size: int, n_max: int | None = None,
                        workers: int = 1) -> SquareFreeCensus:
-    """Tabulate a(n) by backtracking, pruning at the first square.
+    """Tabulate a(n) by extending square-free words one letter at a time.
 
     Permuting letters preserves square-freeness, so for n >= 2 every
     square-free word is one of k(k-1) letter renamings of a word starting
     with letters 0, 1: a(n) = k(k-1) * #{square-free words of length n that
-    start 0 1}. Only that one subtree is walked, and FIBWORD_CENSUS_NODES
-    bounds the nodes of that walk. workers is accepted for compatibility and
-    must be at least 1; it does not change the work or the result.
+    start 0 1}. Only that one subtree is walked, length by length, and
+    FIBWORD_CENSUS_NODES bounds the nodes of that walk. workers is accepted
+    for compatibility and must be at least 1; it does not change the work or
+    the result.
 
     With n_max=None the census runs until a(n) = 0, which only terminates on
     alphabets of size <= 2.
@@ -257,8 +250,7 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
         raise DomainError("alphabet_size must be at least 1")
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    node_budget = budget("CENSUS_NODES")
-    terminated = False
+    budget("CENSUS_NODES")  # a malformed value is refused even when nothing is walked
     if n_max is None:
         if alphabet_size > 2:
             raise DomainError(
@@ -271,25 +263,21 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
 
     k = alphabet_size
     if k < 2 or n_max < 2:
-        counts = _subtree_counts(k, n_max, b"", node_budget)
+        counts = _subtree_counts(k, n_max, b"")
     else:
         renamings = k * (k - 1)
-        counts = [renamings * c for c in _subtree_counts(k, n_max, b"\x00\x01", node_budget)]
+        counts = [renamings * c for c in _subtree_counts(k, n_max, b"\x00\x01")]
         counts[1] = k
     counts[0] = 1
-    if 0 in counts[1:]:
-        first_zero = counts.index(0, 1)
-        counts = counts[: first_zero + 1]
-        terminated = True
-    return SquareFreeCensus(alphabet_size, tuple(counts), terminated)
+    return SquareFreeCensus(alphabet_size, tuple(counts), counts[-1] == 0)
 
 
 def square_free_words(alphabet_size: int, max_len: int | None = None) -> list[Word]:
     """All square-free words over the letters a, b, ... up to max_len
     (unbounded only for <= 2 letters).
 
-    The walk covers the whole tree of words, under the FIBWORD_CENSUS_NODES
-    node budget.
+    The walk covers the whole tree of words length by length, under the
+    FIBWORD_CENSUS_NODES node budget, and lists the words by length.
     """
     letters = "abcdefghijklmnopqrstuvwxyz"
     if not 1 <= alphabet_size <= len(letters):
@@ -302,7 +290,8 @@ def square_free_words(alphabet_size: int, max_len: int | None = None) -> list[Wo
     if max_len < 0:
         raise DomainError("max_len must be nonnegative")
     found: list[bytes] = []
-    _subtree_counts(alphabet_size, max_len, b"", budget("CENSUS_NODES"), found)
+    budget("CENSUS_NODES")  # a malformed value is refused even when nothing is walked
+    _subtree_counts(alphabet_size, max_len, b"", found)
     return [Word.from_indices(alphabet, p) for p in found]
 
 
@@ -398,9 +387,7 @@ def scattered_palindrome_count(w: Word) -> int:
     same palindrome. Interval recurrence over exact integers; the count can
     reach 2^(|w|/2), hence the length budget.
     """
-    L = len(w)
-    if L > budget("SP_TOTAL_MAXLEN"):
-        raise BudgetError(f"word length {L} exceeds the scattered palindrome budget")
+    charge("SP_TOTAL_MAXLEN", len(w), f"word length {len(w)} for scattered palindrome totals")
     return _scattered_dp(w.data, 1)
 
 
@@ -411,8 +398,7 @@ def scattered_palindromes_by_length(w: Word) -> list[int]:
     subsequences of length t; the sum equals scattered_palindrome_count(w).
     """
     L = len(w)
-    if L > budget("SP_LENGTH_MAXLEN"):
-        raise BudgetError(f"word length {L} exceeds the per-length palindrome budget")
+    charge("SP_LENGTH_MAXLEN", L, f"word length {L} for the per-length palindrome counts")
     # Each count of one length t is at most C(L, t) < 2^L distinct
     # subsequences, so L-bit fields never carry into the next length.
     packed = _scattered_dp(w.data, 1 << L) >> L   # no palindrome has length 0

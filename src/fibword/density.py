@@ -98,11 +98,14 @@ def balance_check(w: Word, symbol: "int | str", target: float,
     import numpy as np
 
     s = w.alphabet.as_index(symbol)
-    ns = sorted(set(int(n) for n in n_values))
-    if not ns:
+    seen = set()
+    for n in map(int, n_values):   # each n is checked as it is read: at most len(w) are kept
+        if not 1 <= n <= len(w):
+            raise DomainError(f"window lengths must lie in 1..{len(w)}")
+        seen.add(n)
+    if not seen:
         raise DomainError("need at least one window length")
-    if ns[0] < 1 or ns[-1] > len(w):
-        raise DomainError(f"window lengths must lie in 1..{len(w)}")
+    ns = sorted(seen)
     if not math.isfinite(target):
         raise DomainError(f"target must be a finite number, got {target}")
     prefix = _occurrence_prefix(w.data, s)

@@ -5,8 +5,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 
-from .budgets import budget
-from .errors import BudgetError, DomainError
+from .budgets import budget, charge
+from .errors import DomainError
 from .words import Word, digit_alphabet
 
 
@@ -126,10 +126,10 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
         raise DomainError("block budget must be nonnegative")
     if digit_budget is not None and digit_budget < k:
         raise DomainError(f"digit budget {digit_budget} cannot hold a length-{k} window")
-    limit = budget("COVERAGE_CELLS")
-    # base >= 2, so k past the bit length of the limit is refused unbuilt
-    if k > limit.bit_length() or base ** k > limit:
-        raise BudgetError(f"base^k = {base}^{k} exceeds the coverage cell budget {limit}")
+    # base >= 2, so a k past the bit length of the limit is charged base^(that + 1),
+    # already over the limit, and base^k is never built
+    k_cap = budget("COVERAGE_CELLS").bit_length() + 1
+    charge("COVERAGE_CELLS", base ** min(k, k_cap), f"base^k = {base}^{k}")
     import numpy as np
 
     cells = base ** k
@@ -189,12 +189,6 @@ def _log_factorial_frac_blocks(base: int, n_max: int) -> Iterator[tuple[int, "np
         yield start, sums * (1.0 / _GRID)
 
 
-def _check_n_budget(n: int) -> None:
-    limit = budget("LOG_FACTORIAL_TERMS")
-    if n > limit:
-        raise BudgetError(f"n = {n} exceeds the log-factorial term budget {limit}")
-
-
 def _frac_error_bound(base: int, n_max: int) -> float:
     """Proven bound on the error of every frac _log_factorial_frac_blocks(base, n_max) yields.
 
@@ -228,7 +222,7 @@ def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int
         raise DomainError("a leading-digit prefix cannot start with 0")
     if n_budget < 0:
         raise DomainError("n budget must be nonnegative")
-    _check_n_budget(n_budget)
+    charge("LOG_FACTORIAL_TERMS", n_budget, f"n = {n_budget}")
     import numpy as np
 
     m = len(prefix)
@@ -309,7 +303,7 @@ def logfactorial_equidistribution(base: int, n_max: int, frequency: int = 1,
         raise DomainError("frequency must be at least 1")
     if bins < 1:
         raise DomainError("bins must be at least 1")
-    _check_n_budget(n_max)
+    charge("LOG_FACTORIAL_TERMS", n_max, f"n = {n_max}")
     import numpy as np
 
     hist = np.zeros(bins, np.int64)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .budgets import budget
-from .errors import BudgetError, DomainError
+from .budgets import budget, charge
+from .errors import DomainError
 
 
 def fib_pair(n: int) -> tuple[int, int]:
@@ -409,10 +409,8 @@ def density_formula(p: int) -> DensityResult:
     ctx = prime_context(p)
     pe = p ** ctx.e
     zeros = ctx.lucas_zero_indices
-    steps, limit = ctx.pisano - len(zeros), budget("PERIOD_STEPS")
-    if steps > limit:
-        raise BudgetError(f"the residue walk mod {p}^{ctx.e} needs {steps} steps, "
-                          f"over the period-step budget {limit}")
+    steps = ctx.pisano - len(zeros)
+    charge("PERIOD_STEPS", steps, f"the residue walk mod {p}^{ctx.e}, which needs {steps} steps,")
     edges = (-1, *zeros, ctx.pisano)
     nonzero = _residues(pe, [(lo + 1, hi - lo - 1) for lo, hi in zip(edges, edges[1:])])
     zero_entries = [fib_mod(i, pe) for i in zeros]
@@ -448,9 +446,7 @@ def residue_density_bruteforce(p: int, lam: int) -> Fraction:
     if lam == 0:
         return Fraction(1, 1)
     modulus = p ** lam
-    limit = budget("MODULUS_LIMIT")
-    if modulus > limit:
-        raise BudgetError(f"p^lambda = {modulus} exceeds the modulus budget {limit}")
+    charge("MODULUS_LIMIT", modulus, f"p^lambda = {modulus}")
     steps = budget("PERIOD_STEPS")
     seen = np.zeros(modulus, dtype=bool)
     start, prev = 0, None
@@ -463,8 +459,9 @@ def residue_density_bruteforce(p: int, lam: int) -> Fraction:
                 return Fraction(int(np.count_nonzero(seen)), modulus)
         seen[block] = True
         start, prev = start + len(block), block[-1]
-    raise BudgetError(f"F mod {modulus} did not return to (0, 1) within "
-                      f"the period-step budget of {steps} steps")
+    # no return within the whole budget: one step past it is always refused
+    charge("PERIOD_STEPS", steps + 1,
+           f"the walk to the first return of F mod {modulus} to (0, 1), past {steps} steps,")
 
 
 def bruteforce_trace(p: int, lam_max: int) -> list[Fraction]:

@@ -13,7 +13,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from fibword import budgets, cli, fib_pair_mod, verify
+import fibword
+from fibword import BudgetError, budgets, cli, fib_pair_mod, verify
 
 SCHEMA = json.loads(
     resources.files("fibword").joinpath("schemas/cli_output.schema.json").read_text()
@@ -173,7 +174,8 @@ def test_palindromes_refuses_a_long_word_before_counting(capsys):
         tracemalloc.stop()
     assert code == 2 and out == ""
     error = json.loads(err)
-    assert error["kind"] == "resource" and "scattered palindrome budget" in error["error"]
+    assert error["kind"] == "resource" and error["error"].endswith(
+        "for scattered palindrome totals exceeds the FIBWORD_SP_TOTAL_MAXLEN budget 400")
     assert peak < 2 * 2 ** 20
 
 
@@ -360,7 +362,7 @@ def test_log_factorial_walk_budget_exit_code(capsys, monkeypatch, argv):
     error = json.loads(err)
     assert error["kind"] == "resource"
     assert error["error"] == \
-        "n = 100000000000 exceeds the log-factorial term budget 100000000"
+        "n = 100000000000 exceeds the FIBWORD_LOG_FACTORIAL_TERMS budget 100000000"
     monkeypatch.setenv("FIBWORD_LOG_FACTORIAL_TERMS", "1000")
     assert run(capsys, *argv, "1000", "--format", "json")[0] == 0
     code, out, err = run(capsys, *argv, "1001")
@@ -457,6 +459,16 @@ def test_square_free_listing_budget_exit_code(capsys, monkeypatch):
     assert json.loads(err)["kind"] == "resource"
 
 
+def test_deep_census_is_a_budget_error(capsys, monkeypatch):
+    # past length 1000 a depth-first walk would overflow the interpreter stack
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "20000")
+    code, out, err = run(capsys, "squarefree", "--alphabet-size", "3", "--n-max", "1200")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "resource"
+    assert error["error"].startswith("the square-free walk to length 27 of 1200, ")
+
+
 def test_period_step_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "1000")
     code, out, err = run(capsys, "density", "--prime", "10007")
@@ -529,6 +541,38 @@ def test_readme_budget_table_matches_defaults():
     documented = {name.strip().strip("`"): int(default.replace(" ", ""))
                   for name, default in rows}
     assert documented == {"FIBWORD_" + k: v for k, v in budgets._DEFAULTS.items()}
+
+
+def word(text):
+    return fibword.Word.from_string(text, fibword.binary_alphabet())
+
+
+@pytest.mark.parametrize("name, limit, call, amount", [
+    ("CENSUS_NODES", 100, lambda: fibword.square_free_census(3, 25),
+     "the square-free walk to length 9 of 25, at 123 nodes,"),
+    ("CENSUS_NODES", 100, lambda: fibword.square_free_words(3, 25),
+     "the square-free walk to length 5 of 25, at 120 nodes,"),
+    ("SP_TOTAL_MAXLEN", 10, lambda: fibword.scattered_palindrome_count(word("ab" * 6)),
+     "word length 12"),
+    ("SP_LENGTH_MAXLEN", 10, lambda: fibword.scattered_palindromes_by_length(word("ab" * 6)),
+     "word length 12"),
+    ("COVERAGE_CELLS", 1000, lambda: fibword.coverage_profile(10, 4, 100), "10^4"),
+    ("LOG_FACTORIAL_TERMS", 1000, lambda: fibword.leading_digits_search(10, "7", 1001),
+     "n = 1001"),
+    ("LOG_FACTORIAL_TERMS", 1000, lambda: fibword.logfactorial_equidistribution(10, 1001),
+     "n = 1001"),
+    ("PERIOD_STEPS", 1000, lambda: fibword.density_formula(10007), "needs 20014 steps"),
+    ("MODULUS_LIMIT", 100, lambda: fibword.residue_density_bruteforce(19, 2), "p^lambda = 361"),
+    ("PERIOD_STEPS", 300, lambda: fibword.residue_density_bruteforce(19, 2),
+     "F mod 361 to (0, 1), past 300 steps,"),
+])
+def test_every_refusal_names_its_budget_amount_and_limit(monkeypatch, name, limit, call, amount):
+    monkeypatch.setenv("FIBWORD_" + name, str(limit))
+    with pytest.raises(BudgetError) as refusal:
+        call()
+    message = str(refusal.value)
+    assert amount in message
+    assert message.endswith(f" exceeds the FIBWORD_{name} budget {limit}")
 
 
 def test_pisano_of_a_large_prime(capsys):
@@ -670,7 +714,10 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_numpy_free_commands_do_not_import_numpy():
-    """One fresh interpreter serves the requests that need no numpy, then one that does."""
+    """One fresh interpreter serves the requests that need no numpy, then one that does.
+
+    Only the verify request, the last of the numpy-free ones, loads fibword.verify.
+    """
     numpy_free = [
         ["generate", "--morphism", "fibonacci", "--length", "50"],
         ["squarefree", "--test", "abcab"],
@@ -691,13 +738,13 @@ def test_numpy_free_commands_do_not_import_numpy():
         f"for argv in {requests!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main([*argv, '--format', 'json'])\n"
-        "    seen.append([argv[0], code, 'numpy' in sys.modules])\n"
+        "    seen.append([argv[0], code, 'numpy' in sys.modules, 'fibword.verify' in sys.modules])\n"
         "print(json.dumps(seen))\n"
     )
     seen = json.loads(_probe(probe))
-    assert seen[:-1] == [[argv[0], 0, False] for argv in numpy_free]
+    assert seen[:-1] == [[argv[0], 0, False, argv[0] == "verify"] for argv in numpy_free]
     # the probe can see numpy: the complexity profile loads it
-    assert seen[-1] == ["complexity", 0, True]
+    assert seen[-1] == ["complexity", 0, True, True]
 
 
 def test_format_before_or_after_the_command(capsys):

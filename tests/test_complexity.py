@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -658,6 +659,94 @@ def test_census_budget_comes_from_environment(monkeypatch):
         square_free_census(3, 24, 1000)
     with pytest.raises(TypeError):
         square_free_census(3, 24, node_budget=1000)
+
+
+def recursive_walk(k, n_max, prefix):
+    """The depth-first square-free walk, kept as an oracle for the walk by length.
+
+    Returns the counts by absolute length, the words met (the prefix
+    included, if nonempty) in depth-first order, and the nodes tried: one
+    per letter appended to a square-free word shorter than n_max.
+    """
+    counts = [0] * (n_max + 1)
+    found = []
+    nodes = 0
+
+    def rec(w):
+        nonlocal nodes
+        if w:
+            counts[len(w)] += 1
+            found.append(bytes(w))
+        if len(w) == n_max:
+            return
+        for c in range(k):
+            nodes += 1
+            w.append(c)
+            if not has_square(w):
+                rec(w)
+            w.pop()
+
+    rec(bytearray(prefix))
+    return counts, found, nodes
+
+
+def recursive_census(k, n_max):
+    """square_free_census by the depth-first walk, and the nodes it tried."""
+    prefix = b"" if k < 2 or n_max < 2 else b"\x00\x01"
+    counts, _, nodes = recursive_walk(k, n_max, prefix)
+    if prefix:
+        counts = [k * (k - 1) * c for c in counts]
+        counts[1] = k
+    counts[0] = 1
+    if 0 in counts[1:]:
+        counts = counts[: counts.index(0, 1) + 1]
+    return SquareFreeCensus(k, tuple(counts), counts[-1] == 0), nodes
+
+
+def charged_nodes(call, *args):
+    """Run call(*args) and return its result and the census nodes last charged (0 if none)."""
+    charged = [0]
+    real = complexity.charge
+
+    def spy(name, used, what):
+        if name == "CENSUS_NODES":
+            charged.append(used)
+        real(name, used, what)
+
+    with mock.patch.object(complexity, "charge", spy):
+        return call(*args), charged[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), n_max=st.integers(0, 10))
+def test_walk_by_length_matches_the_recursive_walk(k, n_max):
+    census, nodes = charged_nodes(square_free_census, k, n_max)
+    assert (census, nodes) == recursive_census(k, n_max)
+    listing, nodes = charged_nodes(square_free_words, k, n_max)
+    _, found, want_nodes = recursive_walk(k, n_max, b"")
+    listed = [w.data for w in listing]
+    assert len(listed) == len(found) and set(listed) == set(found)
+    assert [len(w) for w in listed] == sorted(len(w) for w in listed)   # by length
+    assert nodes == want_nodes
+
+
+@pytest.mark.parametrize("n_max", (2000, 10 ** 8))
+def test_census_refusal_names_the_length_reached(monkeypatch, n_max):
+    # the walk refuses its level at length 27; nothing it holds grows with n_max
+    monkeypatch.setenv("FIBWORD_CENSUS_NODES", "20000")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError) as refusal:
+            square_free_census(3, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1 and peak < 2 ** 20
+    assert str(refusal.value) == (
+        f"the square-free walk to length 27 of {n_max}, at 25350 nodes, "
+        "exceeds the FIBWORD_CENSUS_NODES budget 20000"
+    )
 
 
 def test_growth_estimate():

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -187,6 +189,20 @@ def test_balance_check_argument_validation():
         balance_check(w, "a", 0.5, [5])
     with pytest.raises(DomainError):
         balance_check(w, "a", float("nan"), [2])
+
+
+def test_balance_check_refuses_a_huge_range_before_storing_it():
+    # the check reads n by n and keeps at most len(w) values, not 10^9
+    w = fixed_point_prefix(fibonacci_morphism(), "a", 100)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match=r"window lengths must lie in 1\.\.100"):
+            balance_check(w, "b", 0.38, range(1, 10 ** 9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.1 and peak < 2 ** 20
 
 
 def test_golden_density_ratios():
