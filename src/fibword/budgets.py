@@ -12,6 +12,8 @@ _DEFAULTS = {
     "SP_TOTAL_MAXLEN": 400,        # word length cap for scattered palindrome totals
     "SP_LENGTH_MAXLEN": 64,        # cap for the per-length decomposition
     "LOG_FACTORIAL_TERMS": 100_000_000,  # n of the frac(log_b n!) walk (weyl, leading)
+    "FACTORIAL_DIGITS": 100_000_000,     # digits of the factorial word one request reads
+    "WEYL_BINS": 1_000_000,              # histogram bins of weyl
 }
 
 

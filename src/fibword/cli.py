@@ -507,6 +507,7 @@ def cmd_weyl(args) -> tuple:
         "weyl_magnitude": report.weyl_magnitude,
         "error_bound": report.summation_error_bound,
         "magnitude_error_bound": report.magnitude_error_bound,
+        "near_edge": report.near_edge,
         "min_bin": min(report.histogram),
         "max_bin": max(report.histogram),
         "histogram": list(report.histogram),
@@ -518,6 +519,7 @@ def cmd_weyl(args) -> tuple:
         f"|S_N| / N error bound {report.magnitude_error_bound:.2e}",
         f"histogram of {{log_b n!}} over {args.bins} bins: "
         f"min {min(report.histogram)}, max {max(report.histogram)}",
+        f"{report.near_edge} of {args.n_max} values within the error bound of a bin edge",
     ]
     csv_rows = [("bin", "count")] + list(enumerate(report.histogram))
     return payload, lines, csv_rows

@@ -14,25 +14,37 @@ def factorial_blocks(base: int) -> Iterator[bytes]:
     """The base-b digits of 0!, 1!, 2!, ..., one bytes object per factorial.
 
     Digits are index values of the digit alphabet; joined, the blocks are the
-    factorial word. n! is kept as an int64 array of its digits, least
-    significant first, and each block is the previous block's array times n
-    with the carries resolved.
+    factorial word. n! is kept as an int64 array of limbs in base B = b^k, the
+    largest power of b below 2^31, least significant first. Each factorial is
+    the previous limbs times n with the carries resolved, and its block expands
+    every limb to k digits at once and cuts the top limb's leading zeros.
     """
     digit_alphabet(base)  # rejects bases outside 2..36
     import numpy as np
 
-    def times(digits, n):
-        digits = digits * n  # digits < 36, so int64 holds this for any n < 2^57
-        while True:
-            carry, digits = np.divmod(digits, base)
-            if not np.count_nonzero(carry):
-                return digits
-            digits[1:] += carry[:-1]
-            if carry[-1]:
-                digits = np.concatenate((digits, carry[-1:]))
+    k = max(k for k in range(1, 31) if base ** k < 2 ** 31)
+    limb = base ** k
+    powers = base ** np.arange(k - 1, -1, -1, dtype=np.uint32)  # b^(k-1), ..., b, 1
 
-    return (digits[::-1].astype(np.uint8).tobytes()
-            for digits in accumulate(count(1), times, initial=np.ones(1, np.int64)))
+    def times(limbs, n):
+        # limbs < 2^31, so int64 holds this for any n < 2^32; the FIBWORD_FACTORIAL_DIGITS
+        # budget stops the stream long before n comes near that
+        limbs = limbs * n
+        while True:
+            carry = limbs // limb
+            if not np.count_nonzero(carry):
+                return limbs
+            limbs -= carry * limb
+            limbs[1:] += carry[:-1]
+            if carry[-1]:
+                limbs = np.concatenate((limbs, carry[-1:]))
+
+    def digits(limbs):
+        lead = int(np.count_nonzero(powers > limbs[-1]))  # zeros atop the top limb
+        expanded = limbs[::-1, None].astype(np.uint32) // powers % base
+        return expanded.ravel()[lead:].astype(np.uint8).tobytes()
+
+    return map(digits, accumulate(count(1), times, initial=np.ones(1, np.int64)))
 
 
 def _prefix_blocks(base: int, n_digits: int) -> Iterator[bytes]:
@@ -61,11 +73,25 @@ def _chunks(blocks: Iterable[bytes], overlap: int) -> Iterator[tuple[int, bytes]
         position += len(chunk) - len(tail)
 
 
+def _runs(blocks: Iterable[bytes], size: int) -> Iterator[bytes]:
+    """Consecutive blocks joined into runs of at least `size` digits; the last may be shorter."""
+    run, length = [], 0
+    for block in blocks:
+        run.append(block)
+        length += len(block)
+        if length >= size:
+            yield b"".join(run)
+            run, length = [], 0
+    if run:
+        yield b"".join(run)
+
+
 def factorial_word_prefix(base: int, n_digits: int) -> Word:
     """The first n_digits symbols of the concatenated-factorials word."""
     if n_digits < 0:
         raise DomainError("n_digits must be nonnegative")
     alphabet = digit_alphabet(base)
+    charge("FACTORIAL_DIGITS", n_digits, f"{n_digits} digits")
     return Word(alphabet, b"".join(_prefix_blocks(base, n_digits)))
 
 
@@ -84,12 +110,16 @@ def factor_search(base: int, target: "Word | str", digit_budget: int) -> int | N
         raise DomainError("target must be nonempty")
     if digit_budget < 1:
         raise DomainError("digit budget must be positive")
+    charge("FACTORIAL_DIGITS", digit_budget, f"{digit_budget} digits")
     needle = target.data
     for position, chunk in _chunks(_prefix_blocks(base, digit_budget), len(needle) - 1):
         hit = chunk.find(needle)
         if hit != -1:
             return position + hit
     return None
+
+
+_COVERAGE_RUN = 1 << 16  # digits the coverage names at once, at least
 
 
 @dataclass(frozen=True)
@@ -114,8 +144,9 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
 
     The prefix is either the first digit_budget digits or everything through
     the block of block_budget!, whichever budget is given. A full census
-    needs base^k cells, so the cell budget keeps k honest. Each chunk's
-    windows are named base^(k-1) d_0 + ... + d_(k-1) in int64 at once.
+    needs base^k cells, so the cell budget keeps k honest. The blocks are
+    joined into runs of at least 2^16 digits, and each run's windows are named
+    base^(k-1) d_0 + ... + d_(k-1) in int64 at once.
     """
     digit_alphabet(base)  # rejects bases outside 2..36
     if k < 1:
@@ -130,16 +161,24 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     # already over the limit, and base^k is never built
     k_cap = budget("COVERAGE_CELLS").bit_length() + 1
     charge("COVERAGE_CELLS", base ** min(k, k_cap), f"base^k = {base}^{k}")
+    if block_budget is None:
+        charge("FACTORIAL_DIGITS", digit_budget, f"{digit_budget} digits")
+        blocks = _prefix_blocks(base, digit_budget)
+    else:
+        # 0!..n! are n + 1 blocks of at least 1 and at most floor(log_b n!) + 1 digits; one
+        # digit more a block covers the rounding of lgamma, which sees only n below the limit
+        n = block_budget
+        at_most = n < budget("FACTORIAL_DIGITS")
+        bound = (n + 1) * (int(math.lgamma(n + 1) / math.log(base)) + 2) if at_most else n + 1
+        charge("FACTORIAL_DIGITS", bound,
+               f"{'up to' if at_most else 'at least'} {bound} digits through {n}!")
+        blocks = islice(factorial_blocks(base), n + 1)
     import numpy as np
 
     cells = base ** k
-    if block_budget is None:
-        blocks = _prefix_blocks(base, digit_budget)
-    else:
-        blocks = islice(factorial_blocks(base), block_budget + 1)
     seen = np.zeros(cells, dtype=bool)
     consumed = 0
-    for position, chunk in _chunks(blocks, k - 1):
+    for position, chunk in _chunks(_runs(blocks, _COVERAGE_RUN), k - 1):
         consumed = position + len(chunk)
         windows = len(chunk) - k + 1
         if windows < 1:
@@ -167,20 +206,21 @@ _GRID = 1 << 52        # every term and frac is a multiple of 2^-52
 def _log_factorial_frac_blocks(base: int, n_max: int) -> Iterator[tuple[int, "np.ndarray"]]:
     """frac(log_b n!) for n = 0..n_max as (first n, float64 array) blocks of at most 2^16.
 
-    Each frac is an exact sum mod 1 of the terms frac(log(j)/log(b)), kept on the 2^-52
+    Each frac is an exact sum mod 1 of the terms frac(log2(j)/log2(b)), kept on the 2^-52
     grid: as integers k_j = term·2^52, a uint64 cumsum (wrapping mod 2^64 is exact) plus
-    the carry of the blocks before, masked to the sum mod 2^52.
+    the carry of the blocks before, masked to the sum mod 2^52. The logs come from
+    math.log2, which takes its one argument without the tuple math.log builds per call.
     """
     import numpy as np
 
-    log_base = math.log(base)
+    log_base = math.log2(base)
     carry = 0
     yield 0, np.zeros(1)  # 0! = 1
     for start in range(1, n_max + 1, _FRAC_BLOCK):
         stop = min(start + _FRAC_BLOCK, n_max + 1)
-        # math.log, whose 1-ulp accuracy _frac_error_bound assumes
-        logs = np.fromiter(map(math.log, range(start, stop)), np.float64, stop - start)
-        # frac(log(j)/log(b)), exact for j >= b and rounded to the grid by 1.0 below
+        # math.log2, whose 1-ulp accuracy _frac_error_bound assumes
+        logs = np.fromiter(map(math.log2, range(start, stop)), np.float64, stop - start)
+        # frac(log2(j)/log2(b)), exact for j >= b and rounded to the grid by 1.0 below
         terms = (logs / log_base % 1.0 + 1.0) - 1.0
         sums = np.cumsum((terms * _GRID).astype(np.uint64), dtype=np.uint64)
         sums += carry
@@ -192,12 +232,14 @@ def _log_factorial_frac_blocks(base: int, n_max: int) -> Iterator[tuple[int, "np
 def _frac_error_bound(base: int, n_max: int) -> float:
     """Proven bound on the error of every frac _log_factorial_frac_blocks(base, n_max) yields.
 
-    Assume math.log is within 1 ulp; let u = 2^-53. Each quotient log(j)/log(b) is then within
-    5u + O(u^2) of log_b j, relative, and % 1.0 keeps its fractional part exactly; for j < b,
-    where that part is below 1, the trip through 1.0 rounds it by at most u. Every term and
-    frac is a multiple of 2^-52 below 2, so the sums add no error: the frac is off mod 1 by at
-    most (5u + O(u^2))·S + min(n, b - 1)·u, S = log_b n! <= n·log_b n + 1. The 6u·(n·log_b n
-    + 1) returned leaves u·S for the O(u^2) terms and for the rounding of this formula.
+    Assume math.log2 is within 1 ulp, 2u relative for u = 2^-53 (and exact for b a power of
+    2). Each quotient log2(j)/log2(b) then carries 2u from each log and u from the division:
+    it is within 5u + O(u^2) of log_b j, relative, and % 1.0 keeps its fractional part
+    exactly; for j < b, where that part is below 1, the trip through 1.0 rounds it by at most
+    u. Every term and frac is a multiple of 2^-52 below 2, so the sums add no error: the frac
+    is off mod 1 by at most (5u + O(u^2))·S + min(n, b - 1)·u, S = log_b n! <= n·log_b n + 1.
+    The 6u·(n·log_b n + 1) returned leaves u·S for the O(u^2) terms and for the rounding of
+    this formula.
     """
     return 2.0 ** -53 * (6 * (n_max * math.log(max(n_max, 1)) / math.log(base) + 1)
                          + min(n_max, base - 1))
@@ -266,6 +308,7 @@ class WeylReport:
     bins: int
     summation_error_bound: float    # proven bound on each frac's error (_frac_error_bound)
     magnitude_error_bound: float    # proven bound on weyl_magnitude's error
+    near_edge: int                  # j whose frac may sit in the wrong bin
 
 
 def _magnitude_error_bound(frac_bound: float, n_max: int, frequency: int) -> float:
@@ -275,7 +318,7 @@ def _magnitude_error_bound(frac_bound: float, n_max: int, frequency: int) -> flo
     each exponential moves by at most 2πh·frac_bound through its frac, and by 2πh·γ_3 <
     2πh·4u through the angle: 2π·h and the product with the frac round once each, and
     math.pi once. Assume np.cos and np.sin are within 1 ulp, 2u for values of modulus at
-    most 1, as _frac_error_bound assumes of math.log: 2√2·u < 3u per exponential. A block's
+    most 1, as _frac_error_bound assumes of math.log2: 2√2·u < 3u per exponential. A block's
     np.sum may sum in any order (numpy documents pairwise summation only as "often"), so
     its m terms take at most m - 1 roundings, and the running sum over the blocks one more
     each: γ_H·n for each of re and im, H < R = min(n, 2^16) + ceil(n / 2^16). hypot (under
@@ -293,7 +336,10 @@ def logfactorial_equidistribution(base: int, n_max: int, frequency: int = 1,
     """Histogram the fractional parts of log_b(j!) and form their Weyl sum.
 
     Equidistribution would drive the magnitude toward 0 as n grows; the
-    histogram shows how the mass spreads across [0, 1).
+    histogram shows how the mass spreads across [0, 1). near_edge counts the j
+    whose frac·bins lies within (error_bound + 2^-51)·bins of a bin edge, 0 and
+    bins included: only those can sit in the wrong bin. The 2^-51 covers the
+    roundings of frac·bins and of a frac moved by error_bound.
     """
     if base < 2:
         raise DomainError("base must be at least 2")
@@ -304,19 +350,25 @@ def logfactorial_equidistribution(base: int, n_max: int, frequency: int = 1,
     if bins < 1:
         raise DomainError("bins must be at least 1")
     charge("LOG_FACTORIAL_TERMS", n_max, f"n = {n_max}")
+    charge("WEYL_BINS", bins, f"bins = {bins}")
     import numpy as np
 
     hist = np.zeros(bins, np.int64)
     re = im = 0.0
+    near_edge = 0
     two_pi_n = 2.0 * math.pi * frequency
+    frac_bound = _frac_error_bound(base, n_max)
+    edge_margin = (frac_bound + 2.0 ** -51) * bins
     for _, fracs in islice(_log_factorial_frac_blocks(base, n_max), 1, None):  # j = 1..n_max
         # the bin of min(int(frac * bins), bins - 1), elementwise; np.add.at costs
         # nothing per bin, where a bincount of every block would cost O(bins) each
-        np.add.at(hist, np.minimum((fracs * bins).astype(np.int64), bins - 1), 1)
+        scaled = fracs * bins
+        np.add.at(hist, np.minimum(scaled.astype(np.int64), bins - 1), 1)
+        near_edge += int(np.count_nonzero(np.abs(scaled - np.rint(scaled)) <= edge_margin))
         angles = two_pi_n * fracs
         re += float(np.cos(angles).sum())
         im += float(np.sin(angles).sum())
     magnitude = math.hypot(re, im) / n_max
-    frac_bound = _frac_error_bound(base, n_max)
     return WeylReport(base, n_max, frequency, magnitude, tuple(hist.tolist()), bins,
-                      frac_bound, _magnitude_error_bound(frac_bound, n_max, frequency))
+                      frac_bound, _magnitude_error_bound(frac_bound, n_max, frequency),
+                      near_edge)

@@ -351,6 +351,8 @@ def test_weyl_command(capsys):
     assert code == 0
     assert sum(payload["histogram"]) == 2000
     assert payload["weyl_magnitude"] < 0.2
+    report = fibword.logfactorial_equidistribution(10, 2000, bins=20)
+    assert payload["near_edge"] == report.near_edge
 
 
 @pytest.mark.parametrize("argv", [["weyl", "--n-max"], ["leading", "--target", "7", "--n-budget"]])
@@ -367,6 +369,43 @@ def test_log_factorial_walk_budget_exit_code(capsys, monkeypatch, argv):
     assert run(capsys, *argv, "1000", "--format", "json")[0] == 0
     code, out, err = run(capsys, *argv, "1001")
     assert code == 2 and json.loads(err)["error"].endswith("budget 1000")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["fword", "--find", "123456789012", "--digits", "10000000000000"], "10000000000000 digits"),
+    (["fword", "--digits", "10000000000"], "10000000000 digits"),
+    (["fword", "--coverage", "3", "--digits", "1000000000"], "1000000000 digits"),
+    (["fword", "--coverage", "2", "--blocks", "1000000"],
+     "up to 5565715565710 digits through 1000000!"),
+    (["fword", "--coverage", "2", "--blocks", "10" * 200], f"at least {'10' * 199}11 digits"),
+])
+def test_factorial_digit_budget_exit_code(capsys, monkeypatch, argv, what):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "resource"
+    assert error["error"].startswith(what)
+    assert error["error"].endswith(" exceeds the FIBWORD_FACTORIAL_DIGITS budget 100000000")
+    monkeypatch.setenv("FIBWORD_FACTORIAL_DIGITS", "1000")
+    assert run(capsys, "fword", "--digits", "1000")[0] == 0
+    code, out, err = run(capsys, "fword", "--find", "99", "--digits", "1001")
+    assert code == 2 and json.loads(err)["error"].endswith("budget 1000")
+
+
+def test_weyl_bins_budget_exit_code(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weyl", "--n-max", "10", "--bins", "10000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "resource"
+    assert error["error"] == "bins = 10000000000 exceeds the FIBWORD_WEYL_BINS budget 1000000"
+    monkeypatch.setenv("FIBWORD_WEYL_BINS", "50")
+    assert run(capsys, "weyl", "--n-max", "10", "--bins", "50")[0] == 0
+    code, out, err = run(capsys, "weyl", "--n-max", "10", "--bins", "51")
+    assert code == 2 and json.loads(err)["error"].endswith("budget 50")
 
 
 def test_verify_subset(capsys):
@@ -561,6 +600,13 @@ def word(text):
      "n = 1001"),
     ("LOG_FACTORIAL_TERMS", 1000, lambda: fibword.logfactorial_equidistribution(10, 1001),
      "n = 1001"),
+    ("FACTORIAL_DIGITS", 1000, lambda: fibword.factor_search(10, "99", 1001), "1001 digits"),
+    ("FACTORIAL_DIGITS", 1000, lambda: fibword.factorial_word_prefix(10, 1001), "1001 digits"),
+    ("FACTORIAL_DIGITS", 1000, lambda: fibword.coverage_profile(10, 2, 1001), "1001 digits"),
+    ("FACTORIAL_DIGITS", 1000, lambda: fibword.coverage_profile(10, 2, block_budget=100),
+     "up to 16059 digits through 100!"),
+    ("WEYL_BINS", 1000, lambda: fibword.logfactorial_equidistribution(10, 10, bins=1001),
+     "bins = 1001"),
     ("PERIOD_STEPS", 1000, lambda: fibword.density_formula(10007), "needs 20014 steps"),
     ("MODULUS_LIMIT", 100, lambda: fibword.residue_density_bruteforce(19, 2), "p^lambda = 361"),
     ("PERIOD_STEPS", 300, lambda: fibword.residue_density_bruteforce(19, 2),

@@ -70,6 +70,40 @@ def test_stream_block_audit_large_n():
     assert list(block) == digits_by_divmod(math.factorial(500), 10)
 
 
+def limb_digits(base):
+    """k of the stream's limbs: b^k is the largest power of b below 2^31."""
+    return max(k for k in range(1, 32) if base ** k < 2 ** 31)
+
+
+LIMB_EDGES = {
+    # the top limb holds one digit, or all k of them
+    "one": lambda d, k, before: d % k == 1,
+    "full": lambda d, k, before: d % k == 0,
+    # multiplying by n carried into a new limb
+    "grows": lambda d, k, before: -(-d // k) > -(-before // k),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.integers(2, 36), edge=st.sampled_from(sorted(LIMB_EDGES)),
+       start=st.integers(1, 600))
+def test_stream_blocks_at_limb_edges(base, edge, start):
+    k = limb_digits(base)
+    counts = [d for d, _ in leading_table(base)]
+    n = next((n for n in range(start, len(counts))
+              if LIMB_EDGES[edge](counts[n], k, counts[n - 1])), None)
+    assume(n is not None)
+    block = next(islice(factorial_blocks(base), n, None))
+    assert list(block) == digits_by_divmod(math.factorial(n), base)
+
+
+def test_stream_blocks_deep_probes():
+    block = next(islice(factorial_blocks(10), 1500, None))
+    assert list(block) == digits_by_divmod(math.factorial(1500), 10)
+    block = next(islice(factorial_blocks(2), 3000, None))
+    assert "".join(map(str, block)) == format(math.factorial(3000), "b")
+
+
 def test_stream_blocks_deep_in_binary_and_hex():
     # long runs of the top digit make carries ripple over many passes;
     # format() gives an independent expansion of n! in bases 2 and 16
@@ -232,6 +266,33 @@ def test_coverage_is_monotone_in_the_budget():
              for budget in (50, 100, 200, 400, 608)]
     assert found == sorted(found)
     assert found[-1] == 100
+
+
+@pytest.mark.parametrize("base, k", [(2, 14), (10, 4), (36, 3)])
+def test_coverage_over_runs_that_a_budget_cuts(base, k):
+    # the coverage names windows over runs of whole blocks of at least _COVERAGE_RUN
+    # digits; budgets end just inside, on and just past a run's last digit
+    run = factorial_word._COVERAGE_RUN
+    ends, total = [], 0
+    for block in factorial_blocks(base):
+        total += len(block)
+        ends.append(total)
+        if total >= 2 * run + 2000:
+            break
+    first_run = next(end for end in ends if end >= run)
+    second_run = next(end for end in ends if end >= first_run + run)
+    text = str(factorial_word_prefix(base, ends[-1]))
+    for budget in (run - 1, run, first_run - 1, first_run, first_run + 1,
+                   second_run - k + 1, second_run, second_run + 1):
+        windows = {text[i : i + k] for i in range(budget - k + 1)}
+        report = coverage_profile(base, k, budget)
+        assert (report.found, report.digit_budget) == (len(windows), budget), budget
+    # block budgets that end on the first run's edge, and one block either side of it
+    n = ends.index(first_run)
+    for blocks in (n - 1, n, n + 1):
+        windows = {text[i : i + k] for i in range(ends[blocks] - k + 1)}
+        report = coverage_profile(base, k, block_budget=blocks)
+        assert (report.found, report.digit_budget) == (len(windows), ends[blocks]), blocks
 
 
 def test_coverage_budget_arguments():
@@ -423,11 +484,11 @@ def test_leading_digits_not_found_returns_none():
 
 def log_factorial_fracs_oracle(base, n_max):
     """frac(log_b n!) for n = 0..n_max, one exact float sum mod 1 per n: the scalar walk."""
-    log_base = math.log(base)
+    log_base = math.log2(base)
     frac = 0.0
     yield frac
     for j in range(1, n_max + 1):
-        frac += (math.log(j) / log_base % 1.0 + 1.0) - 1.0
+        frac += (math.log2(j) / log_base % 1.0 + 1.0) - 1.0
         if frac >= 1.0:
             frac -= 1.0
         yield frac
@@ -491,6 +552,15 @@ def test_block_walk_equals_the_scalar_walk_across_block_edges(base, n_max, data)
     assert leading_digits_search(base, target, n_max) == want
 
 
+def test_math_log2_is_within_one_ulp_of_mpmath():
+    # _frac_error_bound assumes this; the walk takes log2 of every j <= n and of b
+    js = [*range(1, 5001), *random.Random(37).choices(range(1, 10 ** 8 + 1), k=20_000)]
+    with mpmath.workdps(40):
+        for j in js:
+            want = mpmath.log(j, 2)
+            assert abs(mpmath.mpf(math.log2(j)) - want) <= math.ulp(float(want)), j
+
+
 def test_numpy_cos_and_sin_are_within_one_ulp_of_mpmath():
     # _magnitude_error_bound assumes this, as _frac_error_bound assumes it of math.log;
     # the angles are 2πh·frac for the walk's fracs and for uniform ones, h = 1, 3
@@ -513,6 +583,43 @@ def test_weyl_magnitude_shrinks():
     large = logfactorial_equidistribution(10, 20_000)
     assert large.weyl_magnitude < small.weyl_magnitude
     assert large.weyl_magnitude < 0.05
+
+
+def near_edge_by_scalar_recount(base, n_max, bins):
+    fracs = list(log_factorial_fracs_oracle(base, n_max))[1:]
+    margin = (_frac_error_bound(base, n_max) + 2.0 ** -51) * bins
+    return sum(abs(frac * bins - round(frac * bins)) <= margin for frac in fracs)
+
+
+@pytest.mark.parametrize("base, n_max, bins", [
+    (10, 1, 100), (2, 1000, 1), (10, 3000, 7), (36, 5000, 100),
+    (10, _FRAC_BLOCK + 3, 10 ** 6), (3, 2 * _FRAC_BLOCK + 5, 2 ** 19),
+])
+def test_weyl_near_edge_equals_a_scalar_recount(base, n_max, bins):
+    report = logfactorial_equidistribution(base, n_max, bins=bins)
+    assert report.near_edge == near_edge_by_scalar_recount(base, n_max, bins)
+
+
+@pytest.mark.parametrize("base, n_max, bins", [
+    (10, 5000, 100), (7, _FRAC_BLOCK + 3, 10 ** 6), (10, 2 * _FRAC_BLOCK + 5, 2 ** 19),
+])
+def test_weyl_moves_at_most_near_edge_entries(monkeypatch, base, n_max, bins):
+    # every frac moved by ±error_bound, wrapping at 0 and 1, as the walk's error may
+    # move it: only the j that near_edge counts can change bins
+    report = logfactorial_equidistribution(base, n_max, bins=bins)
+    walk = factorial_word._log_factorial_frac_blocks
+    moved_any = False
+    for sign in (1, -1):
+        def moved(base, n_max):
+            delta = sign * _frac_error_bound(base, n_max)
+            return ((start, (fracs + delta) % 1.0) for start, fracs in walk(base, n_max))
+
+        monkeypatch.setattr(factorial_word, "_log_factorial_frac_blocks", moved)
+        shifted = logfactorial_equidistribution(base, n_max, bins=bins)
+        changed = sum(abs(a - b) for a, b in zip(report.histogram, shifted.histogram))
+        assert changed // 2 <= report.near_edge, sign
+        moved_any |= changed > 0
+    assert moved_any
 
 
 def test_weyl_histogram_accounts_for_every_index():
@@ -549,14 +656,14 @@ def test_log_factorial_fracs_within_bound_of_mpmath(base):
 @settings(max_examples=30, deadline=None)
 @given(base=st.integers(2, 36), n_max=st.integers(0, 2000))
 def test_log_factorial_fracs_are_exact_sums_of_grid_terms(base, n_max):
-    # each term is frac(log(j)/log(b)) rounded to the 2^-52 grid, ties to even, as
+    # each term is frac(log2(j)/log2(b)) rounded to the 2^-52 grid, ties to even, as
     # float addition of 1.0 rounds it; the walk must be their exact sum mod 1
     grid = 2 ** 52
-    log_base = math.log(base)
+    log_base = math.log2(base)
     total = Fraction(0)
     for n, frac in enumerate(block_walk(base, n_max)):
         if n:
-            t = Fraction(math.log(n) / log_base)
+            t = Fraction(math.log2(n) / log_base)
             total = (total + Fraction(round((t - math.floor(t)) * grid), grid)) % 1
         k = frac * grid
         assert k == int(k) and 0 <= k < grid, (n, frac)
