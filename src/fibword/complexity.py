@@ -309,26 +309,30 @@ def delta_apply(w: Word) -> Word:
     return delta_morphism().apply(w)
 
 
-_RUN_TO_SYMBOL = bytes((2, 1, 0)).ljust(256, b"\xff")  # runs of 0, 1, 2 'b's -> c, b, a
+_BLOCK_TO_SYMBOL = bytes.maketrans(b"\x02\x03\x04", b"\x00\x01\x02")  # abb, ab, a -> a, b, c
 
 
 def delta_factorize(v: Word) -> Word:
     """Invert delta_apply.
 
-    Every block starts with the unique 'a', so the input splits at each 'a'
-    and the run of 0, 1 or 2 following 'b's picks the block c, b or a.
+    Every block starts with the unique 'a', so with no 'b' in front and no
+    run of three 'b's, the blocks abb, ab and a are read off by replacing
+    them in that order.
     """
     if v.alphabet != binary_alphabet():
         raise DomainError("factorization input must be a word over {a, b}")
-    runs = list(map(len, v.data.split(b"\x00")))  # runs[0] comes before the first 'a'
-    if runs[0]:
+    data = v.data
+    if data.startswith(b"\x01"):
         raise FactorizationError("expected 'a' at position 0, found 'b'")
-    if max(runs) > 2:
-        k = next(k for k, run in enumerate(runs) if run > 2)
-        # the run follows the k-th 'a', after k - 1 'a's and the runs before it
-        raise FactorizationError(f"run of {runs[k]} 'b's starting at position "
-                                 f"{k + sum(runs[:k])} fits no block")
-    return Word._trusted(ternary_alphabet(), bytes(runs[1:]).translate(_RUN_TO_SYMBOL))
+    bad = data.find(b"\x01\x01\x01")
+    if bad != -1:
+        start = data.rfind(b"\x00", 0, bad) + 1  # the first 'b' after that run's 'a'
+        end = data.find(b"\x00", bad)
+        run = (len(data) if end == -1 else end) - start
+        raise FactorizationError(f"run of {run} 'b's starting at position {start} fits no block")
+    blocks = (data.replace(b"\x00\x01\x01", b"\x02").replace(b"\x00\x01", b"\x03")
+              .replace(b"\x00", b"\x04"))
+    return Word._trusted(ternary_alphabet(), blocks.translate(_BLOCK_TO_SYMBOL))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The infinite word formed by concatenating 0!, 1!, 2!, ... in base b."""
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 
@@ -47,43 +47,33 @@ def factorial_blocks(base: int) -> Iterator[bytes]:
     return map(digits, accumulate(count(1), times, initial=np.ones(1, np.int64)))
 
 
-def _prefix_blocks(base: int, n_digits: int) -> Iterator[bytes]:
-    """The blocks of the stream, the last one cut where the first n_digits end."""
-    read = 0
-    for block in factorial_blocks(base):
-        yield block[: n_digits - read]
-        read += len(block)
-        if read >= n_digits:
-            return
+def _chunks(base: int, overlap: int, size: int, digits: int | None = None,
+            blocks: int | None = None) -> Iterator[tuple[int, bytes]]:
+    """The stream as (position, chunk), cut after `digits` digits or `blocks` blocks.
 
-
-def _chunks(blocks: Iterable[bytes], overlap: int) -> Iterator[tuple[int, bytes]]:
-    """The blocks as (position, chunk), each chunk led by the last `overlap`
-    digits of the chunk before.
-
-    Every window of overlap + 1 digits thus lies whole inside exactly one
-    chunk; position is where the chunk's first digit sits in the stream.
+    A chunk joins whole blocks until it holds at least `size` new digits (the last may
+    hold fewer, and the digit cut may end it inside a block), led by the `overlap`
+    digits before it. Every window of overlap + 1 digits thus lies whole inside
+    exactly one chunk; position is where the chunk's first digit sits in the stream.
     """
-    tail = b""
-    position = 0
-    for block in blocks:
-        chunk = tail + block
-        yield position, chunk
-        tail = chunk[-overlap:] if overlap else b""
-        position += len(chunk) - len(tail)
-
-
-def _runs(blocks: Iterable[bytes], size: int) -> Iterator[bytes]:
-    """Consecutive blocks joined into runs of at least `size` digits; the last may be shorter."""
-    run, length = [], 0
-    for block in blocks:
+    tail, run, new, read = b"", [], 0, 0
+    for block in islice(factorial_blocks(base), blocks):
+        cut = digits is not None and read + len(block) >= digits
+        if cut:
+            block = block[: digits - read]
         run.append(block)
-        length += len(block)
-        if length >= size:
-            yield b"".join(run)
-            run, length = [], 0
+        new += len(block)
+        read += len(block)
+        if cut or new >= size:
+            chunk = b"".join([tail, *run])
+            yield read - len(chunk), chunk
+            if cut:
+                return
+            tail = chunk[-overlap:] if overlap else b""
+            run, new = [], 0
     if run:
-        yield b"".join(run)
+        chunk = b"".join([tail, *run])
+        yield read - len(chunk), chunk
 
 
 def factorial_word_prefix(base: int, n_digits: int) -> Word:
@@ -92,7 +82,20 @@ def factorial_word_prefix(base: int, n_digits: int) -> Word:
         raise DomainError("n_digits must be nonnegative")
     alphabet = digit_alphabet(base)
     charge("FACTORIAL_DIGITS", n_digits, f"{n_digits} digits")
-    return Word(alphabet, b"".join(_prefix_blocks(base, n_digits)))
+    _, chunk = next(_chunks(base, 0, n_digits, digits=n_digits))
+    return Word(alphabet, chunk)
+
+
+def _digit_word(base: int, word: "Word | str", name: str) -> Word:
+    """word as a nonempty Word over the digit alphabet of base; name is its name in errors."""
+    alphabet = digit_alphabet(base)
+    if isinstance(word, str):
+        word = Word.from_string(word, alphabet)
+    elif word.alphabet != alphabet:
+        raise DomainError(f"{name} must be a word over the digit alphabet of the base")
+    if len(word) == 0:
+        raise DomainError(f"{name} must be nonempty")
+    return word
 
 
 def factor_search(base: int, target: "Word | str", digit_budget: int) -> int | None:
@@ -101,18 +104,11 @@ def factor_search(base: int, target: "Word | str", digit_budget: int) -> int | N
     Scans at most digit_budget digits, holding one factorial's digits plus
     len(target) - 1 overlap digits in memory.
     """
-    alphabet = digit_alphabet(base)
-    if isinstance(target, str):
-        target = Word.from_string(target, alphabet)
-    elif target.alphabet != alphabet:
-        raise DomainError("target must be a word over the digit alphabet of the base")
-    if len(target) == 0:
-        raise DomainError("target must be nonempty")
+    needle = _digit_word(base, target, "target").data
     if digit_budget < 1:
         raise DomainError("digit budget must be positive")
     charge("FACTORIAL_DIGITS", digit_budget, f"{digit_budget} digits")
-    needle = target.data
-    for position, chunk in _chunks(_prefix_blocks(base, digit_budget), len(needle) - 1):
+    for position, chunk in _chunks(base, len(needle) - 1, 1, digits=digit_budget):
         hit = chunk.find(needle)
         if hit != -1:
             return position + hit
@@ -163,22 +159,27 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     charge("COVERAGE_CELLS", base ** min(k, k_cap), f"base^k = {base}^{k}")
     if block_budget is None:
         charge("FACTORIAL_DIGITS", digit_budget, f"{digit_budget} digits")
-        blocks = _prefix_blocks(base, digit_budget)
+        chunks = _chunks(base, k - 1, _COVERAGE_RUN, digits=digit_budget)
     else:
-        # 0!..n! are n + 1 blocks of at least 1 and at most floor(log_b n!) + 1 digits; one
-        # digit more a block covers the rounding of lgamma, which sees only n below the limit
-        n = block_budget
-        at_most = n < budget("FACTORIAL_DIGITS")
-        bound = (n + 1) * (int(math.lgamma(n + 1) / math.log(base)) + 2) if at_most else n + 1
-        charge("FACTORIAL_DIGITS", bound,
-               f"{'up to' if at_most else 'at least'} {bound} digits through {n}!")
-        blocks = islice(factorial_blocks(base), n + 1)
+        # j! has floor(log_b j!) + 1 digits, and one digit more a block covers the
+        # rounding of lgamma. The sum stops once it passes the limit; an n at or past
+        # the limit is refused at once, as 0!..n! hold at least n + 1 digits.
+        n, limit, log_base = block_budget, budget("FACTORIAL_DIGITS"), math.log(base)
+        if n >= limit:
+            charge("FACTORIAL_DIGITS", n + 1, f"at least {n + 1} digits through {n}!")
+        bound = 0
+        for j in range(n + 1):
+            bound += int(math.lgamma(j + 1) / log_base) + 2
+            if bound > limit:
+                break
+        charge("FACTORIAL_DIGITS", bound, f"up to {bound} digits through {j}! of {n}!")
+        chunks = _chunks(base, k - 1, _COVERAGE_RUN, blocks=block_budget + 1)
     import numpy as np
 
     cells = base ** k
     seen = np.zeros(cells, dtype=bool)
     consumed = 0
-    for position, chunk in _chunks(_runs(blocks, _COVERAGE_RUN), k - 1):
+    for position, chunk in chunks:
         consumed = position + len(chunk)
         windows = len(chunk) - k + 1
         if windows < 1:
@@ -253,13 +254,7 @@ def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int
     than the bound a miss. Only a frac within the bound of an edge is confirmed
     on the leading digits of math.factorial(n).
     """
-    alphabet = digit_alphabet(base)
-    if isinstance(prefix, str):
-        prefix = Word.from_string(prefix, alphabet)
-    elif prefix.alphabet != alphabet:
-        raise DomainError("prefix must be a word over the digit alphabet of the base")
-    if len(prefix) == 0:
-        raise DomainError("prefix must be nonempty")
+    prefix = _digit_word(base, prefix, "prefix")
     if prefix.data[0] == 0:
         raise DomainError("a leading-digit prefix cannot start with 0")
     if n_budget < 0:

@@ -271,53 +271,48 @@ def _shift(f: np.ndarray, g: np.ndarray, a: int, b: int, m: int) -> np.ndarray:
     return out
 
 
-def _base_block(m: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """F(j) and F(j - 1) mod m for j = 0..size + 1, built by doubling.
+def _base_block(m: int, size: int) -> np.ndarray:
+    """F(-1), F(0), ..., F(size + 1) mod m, built by doubling.
 
-    In uint64 up to _NUMPY_MODULUS, above it in object arrays of Python ints.
+    Its views e[1:] and e[:-1] are F(j) and F(j - 1) for j = 0..size + 1. In
+    uint64 up to _NUMPY_MODULUS, above it in object arrays of Python ints.
     """
     import numpy as np
 
-    f = np.array([0, 1], dtype=np.uint64 if m <= _NUMPY_MODULUS else object)
-    while len(f) < size + 2:
-        a = (int(f[-1]) + int(f[-2])) % m        # F(L) for L = len(f)
-        f = np.concatenate((f, _shift(f, _previous(f), a, (a + int(f[-1])) % m, m)))
-    f = f[:size + 2]
-    return f, _previous(f)
+    e = np.array([1, 0, 1], dtype=np.uint64 if m <= _NUMPY_MODULUS else object)
+    while len(e) < size + 3:
+        a = (int(e[-1]) + int(e[-2])) % m        # F(L) for L = len(e) - 1
+        e = np.concatenate((e, _shift(e[1:], e[:-1], a, (a + int(e[-1])) % m, m)))
+    return e[:size + 3]
 
 
-def _previous(f: np.ndarray) -> np.ndarray:
-    """F(j - 1) from F(j), j = 0, 1, ...: shift right and put F(-1) = 1 first."""
-    import numpy as np
+def _fib_blocks(m: int, segments: list[tuple[int, int]]):
+    """Yield F(start), ..., F(start + steps - 1) mod m in blocks for each index range
+    (start, steps) of segments in turn, m >= 2.
 
-    g = np.roll(f, 1)
-    g[0] = 1
-    return g
-
-
-def _fib_blocks(m: int, start: int, steps: int):
-    """Yield F(start), ..., F(start + steps - 1) mod m in blocks, m >= 2.
-
-    A block is at most min(_BLOCK, m) values long, so a caller that stops at
-    the first return to (0, 1) walks little past it. Blocks are int64 up to
-    m = 2^63 (int64 indexes faster than uint64) and object arrays above.
+    Every segment shifts one base block. A block is at most min(_BLOCK, m) values
+    long, so a caller that stops at the first return to (0, 1) walks little past it.
+    Blocks are int64 up to m = 2^63 (int64 indexes faster than uint64) and object
+    arrays above.
     """
     import numpy as np
 
-    a, b = fib_pair_mod(start, m)
-    size = min(_BLOCK, m, steps)
-    f, g = _base_block(m, size)
-    while steps > 0:
-        n = min(steps, size)
-        block = _shift(f[:n], g[:n], a, b, m)
-        if m <= _NUMPY_MODULUS:
-            block = block.view(np.int64)
-        elif m <= 2 ** 63:
-            block = block.astype(np.int64)
-        yield block
-        a, b = ((int(f[n]) * b + int(g[n]) * a) % m,
-                (int(f[n + 1]) * b + int(f[n]) * a) % m)
-        steps -= n
+    size = min(_BLOCK, m, max((steps for _, steps in segments), default=0))
+    e = _base_block(m, size)
+    f, g = e[1:], e[:-1]
+    for start, steps in segments:
+        a, b = fib_pair_mod(start, m)
+        while steps > 0:
+            n = min(steps, size)
+            block = _shift(f[:n], g[:n], a, b, m)
+            if m <= _NUMPY_MODULUS:
+                block = block.view(np.int64)
+            elif m <= 2 ** 63:
+                block = block.astype(np.int64)
+            yield block
+            a, b = ((int(f[n]) * b + int(g[n]) * a) % m,
+                    (int(f[n + 1]) * b + int(f[n]) * a) % m)
+            steps -= n
 
 
 def _residues(m: int, segments: list[tuple[int, int]]) -> np.ndarray:
@@ -331,11 +326,10 @@ def _residues(m: int, segments: list[tuple[int, int]]) -> np.ndarray:
     steps = sum(n for _, n in segments)
     if m <= 8 * steps:
         seen = np.zeros(m, dtype=bool)
-        for start, n in segments:
-            for block in _fib_blocks(m, start, n):
-                seen[block] = True
+        for block in _fib_blocks(m, segments):
+            seen[block] = True
         return np.flatnonzero(seen)
-    parts = [np.unique(block) for start, n in segments for block in _fib_blocks(m, start, n)]
+    parts = [np.unique(block) for block in _fib_blocks(m, segments)]
     return np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -450,7 +444,7 @@ def residue_density_bruteforce(p: int, lam: int) -> Fraction:
     steps = budget("PERIOD_STEPS")
     seen = np.zeros(modulus, dtype=bool)
     start, prev = 0, None
-    for block in _fib_blocks(modulus, 0, steps):
+    for block in _fib_blocks(modulus, [(0, steps)]):
         # (F(t), F(t+1)) = (0, 1) exactly when F(t) = 0 and F(t-1) = 1
         for j in np.flatnonzero(block == 0).tolist():
             before = block[j - 1] if j else prev

@@ -376,7 +376,7 @@ def test_log_factorial_walk_budget_exit_code(capsys, monkeypatch, argv):
     (["fword", "--digits", "10000000000"], "10000000000 digits"),
     (["fword", "--coverage", "3", "--digits", "1000000000"], "1000000000 digits"),
     (["fword", "--coverage", "2", "--blocks", "1000000"],
-     "up to 5565715565710 digits through 1000000!"),
+     "up to 100003323 digits through 7851!"),
     (["fword", "--coverage", "2", "--blocks", "10" * 200], f"at least {'10' * 199}11 digits"),
 ])
 def test_factorial_digit_budget_exit_code(capsys, monkeypatch, argv, what):
@@ -392,6 +392,20 @@ def test_factorial_digit_budget_exit_code(capsys, monkeypatch, argv, what):
     assert run(capsys, "fword", "--digits", "1000")[0] == 0
     code, out, err = run(capsys, "fword", "--find", "99", "--digits", "1001")
     assert code == 2 and json.loads(err)["error"].endswith("budget 1000")
+
+
+def test_fword_blocks_are_charged_the_sum_of_their_digit_bounds(capsys, monkeypatch):
+    # 0!..1000! hold 1177744 decimal digits; each j! is charged floor(log_10 j!) + 2,
+    # 1178745 in all, so the budget admits the request just at that sum
+    monkeypatch.setenv("FIBWORD_FACTORIAL_DIGITS", "1178745")
+    code, payload = run_json(capsys, "fword", "--coverage", "1", "--blocks", "1000")
+    assert code == 0 and payload["complete"] is True
+    assert fibword.coverage_profile(10, 1, block_budget=1000).digit_budget == 1177744
+    monkeypatch.setenv("FIBWORD_FACTORIAL_DIGITS", "1178744")
+    code, out, err = run(capsys, "fword", "--coverage", "1", "--blocks", "1000")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == ("up to 1178745 digits through 1000! of 1000! exceeds "
+                                        "the FIBWORD_FACTORIAL_DIGITS budget 1178744")
 
 
 def test_weyl_bins_budget_exit_code(capsys, monkeypatch):
@@ -604,7 +618,7 @@ def word(text):
     ("FACTORIAL_DIGITS", 1000, lambda: fibword.factorial_word_prefix(10, 1001), "1001 digits"),
     ("FACTORIAL_DIGITS", 1000, lambda: fibword.coverage_profile(10, 2, 1001), "1001 digits"),
     ("FACTORIAL_DIGITS", 1000, lambda: fibword.coverage_profile(10, 2, block_budget=100),
-     "up to 16059 digits through 100!"),
+     "up to 1044 digits through 43! of 100!"),
     ("WEYL_BINS", 1000, lambda: fibword.logfactorial_equidistribution(10, 10, bins=1001),
      "bins = 1001"),
     ("PERIOD_STEPS", 1000, lambda: fibword.density_formula(10007), "needs 20014 steps"),

@@ -121,6 +121,64 @@ def test_stream_is_deterministic_across_chunkings():
             assert factor_search(base, target, len(joined)) == text.find(target)
 
 
+def prefix_blocks_oracle(base, n_digits):
+    """The blocks of the stream, the last one cut where the first n_digits end."""
+    read = 0
+    for block in factorial_blocks(base):
+        yield block[: n_digits - read]
+        read += len(block)
+        if read >= n_digits:
+            return
+
+
+def runs_oracle(blocks, size):
+    """Consecutive blocks joined into runs of at least `size` digits; the last may be shorter."""
+    run, length = [], 0
+    for block in blocks:
+        run.append(block)
+        length += len(block)
+        if length >= size:
+            yield b"".join(run)
+            run, length = [], 0
+    if run:
+        yield b"".join(run)
+
+
+def chunks_oracle(runs, overlap):
+    """The runs as (position, chunk), each chunk led by the last `overlap` digits before."""
+    tail = b""
+    position = 0
+    for run in runs:
+        chunk = tail + run
+        yield position, chunk
+        tail = chunk[-overlap:] if overlap else b""
+        position += len(chunk) - len(tail)
+
+
+RUN = factorial_word._COVERAGE_RUN
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=st.integers(2, 36), overlap=st.integers(0, 6),
+       size=st.one_of(st.sampled_from([1, 7, 100, RUN - 1, RUN, RUN + 1]),
+                      st.integers(1, 2 * RUN)),
+       n=st.integers(1, 400), by_digits=st.booleans(), data=st.data())
+def test_chunks_match_the_three_generator_composition(base, overlap, size, n, by_digits,
+                                                       data):
+    """The chunk reader against three plain generators in a row: the blocks cut at a
+    digit count, runs of at least `size` digits, overlapped chunks. The stream ends
+    after n blocks or at a digit inside (or at the end of) block n - 1."""
+    if by_digits:
+        lengths = [len(block) for block in islice(factorial_blocks(base), n)]
+        digits = sum(lengths) - data.draw(st.integers(0, lengths[-1]), label="short by")
+        want = chunks_oracle(runs_oracle(prefix_blocks_oracle(base, digits), size), overlap)
+        got = factorial_word._chunks(base, overlap, size, digits=digits)
+    else:
+        want = chunks_oracle(runs_oracle(islice(factorial_blocks(base), n), size), overlap)
+        got = factorial_word._chunks(base, overlap, size, blocks=n)
+    assert list(got) == list(want)
+
+
 def test_factorial_blocks_rejects_bad_base():
     for base in (1, 37):
         with pytest.raises(DomainError):

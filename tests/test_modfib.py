@@ -385,21 +385,25 @@ def test_lucas_zeros_and_density_match_walks_for_primes_below_3000():
 @given(st.sampled_from([p for p in PRIMES_BELOW_3000 if p not in (2, 5)]))
 def test_object_walk_matches_numpy_walk(p):
     """Moduli too large for uint64 blocks walk object arrays; force that walk here,
-    then walk two such moduli, one past 2^63, in blocks of 64 against fib_mod."""
+    then walk segments mod two such moduli, one past 2^63, in blocks of 64 against
+    fib_mod. Every segment, empty ones included, shifts the same base block."""
     want = density_formula(p), residue_density_bruteforce(p, 1)
     original = modfib._NUMPY_MODULUS, modfib._BLOCK
     modfib._NUMPY_MODULUS = 1
     try:
         assert (density_formula(p), residue_density_bruteforce(p, 1)) == want
         modfib._NUMPY_MODULUS, modfib._BLOCK = original[0], 64
+        start = p ** 3
+        segments = [(0, 0), (start, 200), (p, 0), (start + p, 70), (p, 64), (3 * p, 1)]
         for m, dtype in ((2 ** 63 - p, np.int64), (2 ** 64 + p, object)):
             assert original[0] < m
-            start = p ** 3
-            blocks = list(modfib._fib_blocks(m, start, 200))
-            assert [len(block) for block in blocks] == [64, 64, 64, 8]
+            blocks = list(modfib._fib_blocks(m, segments))
+            assert [len(block) for block in blocks] == [64, 64, 64, 8, 64, 6, 64, 1]
             assert all(block.dtype == dtype for block in blocks)
             assert [int(v) for v in np.concatenate(blocks)] == \
-                [fib_mod(i, m) for i in range(start, start + 200)]
+                [fib_mod(i, m) for first, steps in segments
+                 for i in range(first, first + steps)]
+            assert list(modfib._fib_blocks(m, [(start, 0), (p, 0)])) == []
     finally:
         modfib._NUMPY_MODULUS, modfib._BLOCK = original
 
