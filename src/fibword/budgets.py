@@ -14,6 +14,8 @@ _DEFAULTS = {
     "LOG_FACTORIAL_TERMS": 100_000_000,  # n of the frac(log_b n!) walk (weyl, leading)
     "FACTORIAL_DIGITS": 100_000_000,     # digits of the factorial word one request reads
     "WEYL_BINS": 1_000_000,              # histogram bins of weyl
+    "RHO_STEPS": 10_000_000,             # polynomial steps of one Pollard rho split
+    "SQUARE_TEST_COMPARISONS": 10_000_000,  # n^2/4 half comparisons of one square test
 }
 
 

@@ -178,9 +178,16 @@ def is_sturmian_profile(profile: ComplexityProfile) -> bool:
 
 
 def is_square_free(w: Word) -> bool:
-    """True when w contains no factor of the shape uu with u nonempty."""
+    """True when w contains no factor of the shape uu with u nonempty.
+
+    Each prefix of length j compares floor(j/2) pairs of halves, n^2/4 in all for
+    n symbols, charged to FIBWORD_SQUARE_TEST_COMPARISONS before the first.
+    """
     data = w.data
-    return all(_no_new_square(data[:j]) for j in range(2, len(data) + 1))
+    n = len(data)
+    charge("SQUARE_TEST_COMPARISONS", n * n // 4,
+           f"a square test of {n} symbols, {n * n // 4} comparisons,")
+    return all(_no_new_square(data[:j]) for j in range(2, n + 1))
 
 
 def _no_new_square(w: bytes) -> bool:

@@ -200,47 +200,108 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
     return CoverageReport(base, k, consumed, found, cells, missing)
 
 
-_FRAC_BLOCK = 1 << 16  # fracs per block of the walk
-_GRID = 1 << 52        # every term and frac is a multiple of 2^-52
+_FRAC_BLOCK = 1 << 16   # fracs per block of the walk
+_GRID = 1 << 52         # every term and frac is a multiple of 2^-52
+_ANCHOR_SPACING = 16    # an anchored j takes its term from its anchor j - j mod 16
+_ANCHOR_FROM = 1 << 12  # anchored terms start at max(this, b^3); below, one math.log2 a j
+
+
+def _grid_terms(base: int, start: int, stop: int) -> "np.ndarray":
+    """The walk's terms as integers k_j = term·2^52 for start <= j < stop, in uint64.
+
+    Below max(2^12, b^3) the term is frac(log2(j)/log2(b)) from one math.log2. From there
+    j = a + t with the anchor a = j - j mod 16: k_j = K_a + d_j, where K_a is the anchor's own
+    term and d_j = rint(ln(1 + t/a)·2^52/ln b), with ln(1 + t/a) = 2·atanh(z) for
+    z = t/(2a + t) summed as z·(2 + z^2·(2/3 + z^2·2/5)). _frac_error_bound bounds both.
+    """
+    import numpy as np
+
+    log_base = math.log2(base)
+
+    def by_log2(js):
+        # frac(log2(j)/log2(b)), exact for j >= b and rounded to the grid by 1.0 below
+        terms = np.fromiter(map(math.log2, js), np.float64, len(js))
+        terms /= log_base
+        terms %= 1.0
+        terms += 1.0
+        terms -= 1.0
+        terms *= _GRID
+        return terms.astype(np.uint64)
+
+    # one row per anchor, j = first..first + 15 in the first; the last row may run past stop
+    first = start - start % _ANCHOR_SPACING
+    table = np.empty((-(-(stop - first) // _ANCHOR_SPACING), _ANCHOR_SPACING), np.uint64)
+    flat = table.reshape(-1)
+    split = min(max(start, _ANCHOR_FROM, base ** 3), stop)  # the first anchored j
+    if split < stop:
+        anchor = split - split % _ANCHOR_SPACING
+        t = np.arange(_ANCHOR_SPACING, dtype=np.float64)
+        z = np.arange(anchor, stop, _ANCHOR_SPACING, dtype=np.float64)[:, None] * 2.0 + t
+        np.divide(t, z, out=z)  # t/(2a + t), of exact integers
+        z2 = z * z
+        ln = z2 * 0.4  # 2/5
+        ln += 2 / 3
+        ln *= z2
+        ln += 2.0
+        ln *= z
+        ln *= _GRID / math.log(base)
+        del z, z2
+        rows = table[(anchor - first) // _ANCHOR_SPACING :]
+        rows[...] = np.rint(ln, out=ln)
+        del ln
+        rows += by_log2(range(anchor, stop, _ANCHOR_SPACING))[:, None]
+    flat[start - first : split - first] = by_log2(range(start, split))  # after the anchors
+    return flat[start - first : stop - first]
 
 
 def _log_factorial_frac_blocks(base: int, n_max: int) -> Iterator[tuple[int, "np.ndarray"]]:
     """frac(log_b n!) for n = 0..n_max as (first n, float64 array) blocks of at most 2^16.
 
-    Each frac is an exact sum mod 1 of the terms frac(log2(j)/log2(b)), kept on the 2^-52
-    grid: as integers k_j = term·2^52, a uint64 cumsum (wrapping mod 2^64 is exact) plus
-    the carry of the blocks before, masked to the sum mod 2^52. The logs come from
-    math.log2, which takes its one argument without the tuple math.log builds per call.
+    Each frac is an exact sum mod 1 of the terms _grid_terms gives, kept on the 2^-52 grid:
+    a uint64 cumsum of the integers k_j (wrapping mod 2^64 is exact) plus the carry of the
+    blocks before, masked to the sum mod 2^52.
     """
     import numpy as np
 
-    log_base = math.log2(base)
     carry = 0
     yield 0, np.zeros(1)  # 0! = 1
     for start in range(1, n_max + 1, _FRAC_BLOCK):
-        stop = min(start + _FRAC_BLOCK, n_max + 1)
-        # math.log2, whose 1-ulp accuracy _frac_error_bound assumes
-        logs = np.fromiter(map(math.log2, range(start, stop)), np.float64, stop - start)
-        # frac(log2(j)/log2(b)), exact for j >= b and rounded to the grid by 1.0 below
-        terms = (logs / log_base % 1.0 + 1.0) - 1.0
-        sums = np.cumsum((terms * _GRID).astype(np.uint64), dtype=np.uint64)
+        sums = _grid_terms(base, start, min(start + _FRAC_BLOCK, n_max + 1))
+        np.cumsum(sums, out=sums)
         sums += carry
         sums &= _GRID - 1
         carry = int(sums[-1])
-        yield start, sums * (1.0 / _GRID)
+        fracs = sums * (1.0 / _GRID)
+        del sums
+        yield start, fracs
 
 
 def _frac_error_bound(base: int, n_max: int) -> float:
     """Proven bound on the error of every frac _log_factorial_frac_blocks(base, n_max) yields.
 
-    Assume math.log2 is within 1 ulp, 2u relative for u = 2^-53 (and exact for b a power of
-    2). Each quotient log2(j)/log2(b) then carries 2u from each log and u from the division:
-    it is within 5u + O(u^2) of log_b j, relative, and % 1.0 keeps its fractional part
-    exactly; for j < b, where that part is below 1, the trip through 1.0 rounds it by at most
-    u. Every term and frac is a multiple of 2^-52 below 2, so the sums add no error: the frac
-    is off mod 1 by at most (5u + O(u^2))·S + min(n, b - 1)·u, S = log_b n! <= n·log_b n + 1.
-    The 6u·(n·log_b n + 1) returned leaves u·S for the O(u^2) terms and for the rounding of
-    this formula.
+    Let u = 2^-53 and assume math.log2 and math.log are within 1 ulp, 2u relative (math.log2
+    is exact for b a power of 2). Every term and frac is a multiple of 2^-52 below 2, so the
+    sums add no error; each frac is off mod 1 by at most the sum of its terms' errors.
+
+    A term from math.log2: the quotient log2(j)/log2(b) carries 2u from each log and u from
+    the division, so it is within 5u + O(u^2) of log_b j, relative, and % 1.0 keeps its
+    fractional part exactly; for j < b, where that part is below 1, the trip through 1.0
+    rounds it by at most u. The term is off by (5u + O(u^2))·log_b j, plus u for j < b.
+
+    An anchored term, j = a + t >= max(2^12, b^3) with 0 <= t < 16: K_a is a math.log2 term
+    with a > b, off by (5u + O(u^2))·log_b a <= that of log_b j. Let V = ln(1 + t/a)·2^52/ln b
+    < (15/4096)·2^52/ln 2 < 2^44.5. Since 2·atanh(z) = ln(1 + t/a) for z = t/(2a + t) <
+    2^-9, the series cut after z^5 leaves V·z^6/(7(1 - z^2)) < 2^-12. In floats 2a + t is
+    exact and z rounds once (u). The bracket 2 + z^2·(...) rounds once at the addition; the
+    errors inside it, of terms below 2^-18, are under 2^-16·u relative. The product with z
+    rounds once, the scale 2^52/math.log(b) carries 3u and the product with it u: under
+    7u + O(u^2) relative in all, 7u·V < 0.02. So before rint the value is within 0.021 of V,
+    after it within 0.53 grid units, 1.06u: the term is off by (5u + O(u^2))·log_b j + 1.06u.
+    As log_b j >= 3 there, that is (5.36u + O(u^2))·log_b j.
+
+    So the frac is off by at most (5.36u + O(u^2))·S + min(n, b - 1)·u with S = log_b n! <=
+    n·log_b n + 1. The 6u·(n·log_b n + 1) returned leaves 0.64u·S for the O(u^2) terms and
+    for the rounding of this formula.
     """
     return 2.0 ** -53 * (6 * (n_max * math.log(max(n_max, 1)) / math.log(base) + 1)
                          + min(n_max, base - 1))

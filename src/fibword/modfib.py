@@ -106,14 +106,18 @@ def _split(n: int) -> int:
     """A proper factor of an odd composite n, by Pollard-Brent rho.
 
     The polynomial x^2 + c runs through c = 1, 2, ..., so the factor found
-    depends only on n.
+    depends only on n. Rho needs ~sqrt(q) steps for the least prime factor q
+    of n; before each doubling of r, the steps of every c so far plus the
+    at most 2r of the next round are charged to FIBWORD_RHO_STEPS.
     """
-    c = 0
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            charge("RHO_STEPS", steps + 2 * r,
+                   f"Pollard rho on {n}, up to {steps + 2 * r} polynomial steps,")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -125,6 +129,7 @@ def _split(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += 128
+            steps += r + min(k, r)
             r *= 2
         if g == n:  # the batch overshot: redo it one gcd at a time
             g = 1

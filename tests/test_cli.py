@@ -530,6 +530,40 @@ def test_period_step_budget_exit_code(capsys, monkeypatch):
     assert error["kind"] == "resource" and "1000" in error["error"]
 
 
+def test_rho_step_budget_exit_code(capsys, monkeypatch):
+    # two 20-digit primes: rho would need ~10^10 steps, minutes at the default budget
+    m = (10 ** 19 + 51) * (3 * 10 ** 19 + 41)
+    monkeypatch.setenv("FIBWORD_RHO_STEPS", "100000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pisano", str(m))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "resource"
+    assert error["error"].startswith(f"Pollard rho on {m}, up to ")
+    assert error["error"].endswith(" polynomial steps, exceeds the FIBWORD_RHO_STEPS budget 100000")
+    # a semiprime of two 10-digit primes splits in ~2^17 steps, inside a budget of 10^6
+    monkeypatch.setenv("FIBWORD_RHO_STEPS", "1000000")
+    assert run(capsys, "pisano", str((10 ** 9 + 7) * (10 ** 9 + 9)))[0] == 0
+    assert run(capsys, "pisano", "1000000007")[0] == 0
+
+
+def test_square_test_budget_exit_code(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "squarefree", "--test", "abc" * 2200)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "resource"
+    assert error["error"] == ("a square test of 6600 symbols, 10890000 comparisons, exceeds "
+                              "the FIBWORD_SQUARE_TEST_COMPARISONS budget 10000000")
+    monkeypatch.setenv("FIBWORD_SQUARE_TEST_COMPARISONS", "100")
+    code, payload = run_json(capsys, "squarefree", "--test", "abcacbabcbac" + "abcacbab")
+    assert code == 0 and payload["square_free"] is True  # 20 symbols, 100 comparisons
+    code, out, err = run(capsys, "squarefree", "--test", "abcacbabcbac" + "abcacbabc")
+    assert code == 2 and json.loads(err)["error"].endswith("budget 100")
+
+
 @pytest.mark.parametrize("value", ("abc", "0", "-5"))
 def test_malformed_budget_variable_is_domain_error(capsys, monkeypatch, value):
     monkeypatch.setenv("FIBWORD_CENSUS_NODES", value)
@@ -625,6 +659,10 @@ def word(text):
     ("MODULUS_LIMIT", 100, lambda: fibword.residue_density_bruteforce(19, 2), "p^lambda = 361"),
     ("PERIOD_STEPS", 300, lambda: fibword.residue_density_bruteforce(19, 2),
      "F mod 361 to (0, 1), past 300 steps,"),
+    ("RHO_STEPS", 1000, lambda: fibword.pisano_period((10 ** 9 + 7) * (10 ** 9 + 9)),
+     "Pollard rho on 1000000016000000063, up to "),
+    ("SQUARE_TEST_COMPARISONS", 100, lambda: fibword.is_square_free(word("ab" * 11)),
+     "a square test of 22 symbols, 121 comparisons,"),
 ])
 def test_every_refusal_names_its_budget_amount_and_limit(monkeypatch, name, limit, call, amount):
     monkeypatch.setenv("FIBWORD_" + name, str(limit))

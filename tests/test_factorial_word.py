@@ -23,8 +23,11 @@ from fibword import (
 )
 from fibword import factorial_word
 from fibword.factorial_word import (
+    _ANCHOR_FROM,
+    _ANCHOR_SPACING,
     _FRAC_BLOCK,
     _frac_error_bound,
+    _grid_terms,
     _log_factorial_frac_blocks,
     _magnitude_error_bound,
 )
@@ -535,7 +538,7 @@ def test_leading_digits_not_found_returns_none():
 
 
 def log_factorial_fracs_oracle(base, n_max):
-    """frac(log_b n!) for n = 0..n_max, one exact float sum mod 1 per n: the scalar walk."""
+    """frac(log_b n!) for n = 0..n_max, one math.log2 term per j: the walk before anchors."""
     log_base = math.log2(base)
     frac = 0.0
     yield frac
@@ -544,6 +547,29 @@ def log_factorial_fracs_oracle(base, n_max):
         if frac >= 1.0:
             frac -= 1.0
         yield frac
+
+
+def anchored_terms_oracle(base, j):
+    """The walk's k_j = term·2^52, one j at a time in Python floats, in the walk's order."""
+    log_base = math.log2(base)
+
+    def by_log2(j):
+        return int(((math.log2(j) / log_base % 1.0 + 1.0) - 1.0) * 2 ** 52)
+
+    if j < max(_ANCHOR_FROM, base ** 3):
+        return by_log2(j)
+    t = j % _ANCHOR_SPACING
+    z = t / (2 * (j - t) + t)
+    return by_log2(j - t) + round(z * (2 + z * z * (2 / 3 + z * z * 0.4)) * (2 ** 52 / math.log(base)))
+
+
+def anchored_fracs_oracle(base, n_max):
+    """frac(log_b n!) for n = 0..n_max as the scalar sum mod 1 of anchored_terms_oracle."""
+    total = 0
+    yield 0.0
+    for j in range(1, n_max + 1):
+        total = (total + anchored_terms_oracle(base, j)) % 2 ** 52
+        yield total / 2 ** 52
 
 
 def block_walk(base, n_max):
@@ -579,15 +605,21 @@ def leading_head(n, base, m):
     return head
 
 
-EDGES = (_FRAC_BLOCK - 1, _FRAC_BLOCK, _FRAC_BLOCK + 1, 2 * _FRAC_BLOCK + 5)
+EDGES = (_ANCHOR_FROM - 1, _ANCHOR_FROM, _ANCHOR_FROM + 1,
+         _FRAC_BLOCK - 1, _FRAC_BLOCK, _FRAC_BLOCK + 1, 2 * _FRAC_BLOCK + 5)
 
 
-@settings(max_examples=10, deadline=None)
-@given(base=st.integers(2, 36), n_max=st.sampled_from(EDGES), data=st.data())
-def test_block_walk_equals_the_scalar_walk_across_block_edges(base, n_max, data):
-    fracs = list(log_factorial_fracs_oracle(base, n_max))
-    assert np.array(block_walk(base, n_max)).tobytes() == np.array(fracs).tobytes()
+@settings(max_examples=4, deadline=None)
+@given(base=st.integers(2, 36), data=st.data())
+def test_block_walk_equals_the_scalar_walk_across_block_edges(base, data):
+    # the walk to n is a prefix of every longer walk, so one oracle run serves every edge
+    oracle = list(anchored_fracs_oracle(base, EDGES[-1]))
+    for n_max in EDGES:
+        fracs = oracle[: n_max + 1]
+        assert np.array(block_walk(base, n_max)).tobytes() == np.array(fracs).tobytes()
 
+    n_max = data.draw(st.sampled_from(EDGES), label="n_max")
+    fracs = oracle[: n_max + 1]
     bins = data.draw(st.sampled_from((1, 7, 10, 100, 1000)), label="bins")
     hist = [0] * bins
     for frac in fracs[1:]:
@@ -595,8 +627,9 @@ def test_block_walk_equals_the_scalar_walk_across_block_edges(base, n_max, data)
     report = logfactorial_equidistribution(base, n_max, bins=bins)
     assert report.histogram == tuple(hist)
 
-    # the leading digits of a factorial at the first block edge, cut to m digits
-    n_t = data.draw(st.integers(_FRAC_BLOCK - 1, min(n_max, _FRAC_BLOCK + 2)), label="n_t")
+    # the leading digits of a factorial near the last edge up to n_max, cut to m digits
+    edge = max(edge for edge in EDGES if edge <= n_max)
+    n_t = data.draw(st.integers(edge - 1, min(n_max, edge + 2)), label="n_t")
     m = data.draw(st.integers(1, 8), label="m")
     target = np.base_repr(leading_head(n_t, base, m), base).lower()
     want = leading_by_scalar_walk(base, target, n_max, fracs)
@@ -604,8 +637,45 @@ def test_block_walk_equals_the_scalar_walk_across_block_edges(base, n_max, data)
     assert leading_digits_search(base, target, n_max) == want
 
 
+@pytest.mark.parametrize("base", [2, 3, 10, 36])
+def test_block_walk_is_within_twice_the_bound_of_the_log2_walk(base):
+    # both walks are within _frac_error_bound of the true frac at every n
+    n_max = 2 * _FRAC_BLOCK + 5
+    walk = np.array(block_walk(base, n_max))
+    fracs = np.array(list(log_factorial_fracs_oracle(base, n_max)))
+    gap = np.abs(walk - fracs)
+    gap = np.minimum(gap, 1 - gap)  # wrap-around at 0 and 1
+    n = np.arange(n_max + 1)
+    bounds = np.array([_frac_error_bound(base, k) for k in range(n_max + 1)])
+    assert (gap <= 2 * bounds).all(), n[gap > 2 * bounds][:5]
+    assert gap[_ANCHOR_FROM:].any()  # the anchored terms do move the walk
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16, 18, 36, 1000])
+def test_grid_terms_within_their_bound_of_mpmath(base):
+    # (5·log_b j + 1.06)u per term, mod 1, at 40 digits: across 2^12 and b^3, where anchored
+    # terms start (18^3 is 8 past a multiple of 16), at every t of every seventh block start
+    # 2^16 k + 1 below 10^8, and at random j up to 10^8; each equals the scalar oracle
+    u = 2.0 ** -53
+    first = max(_ANCHOR_FROM, base ** 3)
+    ranges = [(4090, 4200), (first - 20, first + 100)]
+    ranges += [(s, s + _ANCHOR_SPACING) for s in range(_FRAC_BLOCK + 1, 10 ** 8, 7 * _FRAC_BLOCK)]
+    ranges += [(j, j + 1) for j in random.Random(base).choices(range(1, 10 ** 8 + 1), k=10 ** 4)]
+    with mpmath.workdps(40):
+        ln_base = mpmath.log(base)
+        for start, stop in ranges:
+            terms = _grid_terms(base, start, stop).tolist()
+            assert terms == [anchored_terms_oracle(base, j) for j in range(start, stop)]
+            for j, k in zip(range(start, stop), terms):
+                exact = mpmath.log(j) / ln_base
+                err = abs(mpmath.mpf(k % 2 ** 52) / 2 ** 52 - (exact - mpmath.floor(exact)))
+                err = min(err, 1 - err)
+                assert err <= (5 * exact + 1.06) * u, (j, float(err / u), float(exact))
+
+
 def test_math_log2_is_within_one_ulp_of_mpmath():
-    # _frac_error_bound assumes this; the walk takes log2 of every j <= n and of b
+    # _frac_error_bound assumes this; the walk takes log2 of b, of every j below the first
+    # anchored one and of every anchor
     js = [*range(1, 5001), *random.Random(37).choices(range(1, 10 ** 8 + 1), k=20_000)]
     with mpmath.workdps(40):
         for j in js:
@@ -613,8 +683,16 @@ def test_math_log2_is_within_one_ulp_of_mpmath():
             assert abs(mpmath.mpf(math.log2(j)) - want) <= math.ulp(float(want)), j
 
 
+def test_math_log_of_a_base_is_within_one_ulp_of_mpmath():
+    # _frac_error_bound assumes this of the scale 2^52/ln b of the anchored terms
+    with mpmath.workdps(40):
+        for base in [*range(2, 1001), 10 ** 6, 2 ** 31 - 1]:
+            want = mpmath.log(base)
+            assert abs(mpmath.mpf(math.log(base)) - want) <= math.ulp(float(want)), base
+
+
 def test_numpy_cos_and_sin_are_within_one_ulp_of_mpmath():
-    # _magnitude_error_bound assumes this, as _frac_error_bound assumes it of math.log;
+    # _magnitude_error_bound assumes this, as _frac_error_bound assumes it of math.log2;
     # the angles are 2πh·frac for the walk's fracs and for uniform ones, h = 1, 3
     fracs = np.array(block_walk(10, 3000) + random.Random(36).choices(range(2 ** 52), k=3000))
     fracs[3001:] *= 2.0 ** -52
@@ -638,7 +716,7 @@ def test_weyl_magnitude_shrinks():
 
 
 def near_edge_by_scalar_recount(base, n_max, bins):
-    fracs = list(log_factorial_fracs_oracle(base, n_max))[1:]
+    fracs = list(anchored_fracs_oracle(base, n_max))[1:]
     margin = (_frac_error_bound(base, n_max) + 2.0 ** -51) * bins
     return sum(abs(frac * bins - round(frac * bins)) <= margin for frac in fracs)
 
