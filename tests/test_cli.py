@@ -542,7 +542,7 @@ def test_rho_step_budget_exit_code(capsys, monkeypatch):
     assert error["kind"] == "resource"
     assert error["error"].startswith(f"Pollard rho on {m}, up to ")
     assert error["error"].endswith(" polynomial steps, exceeds the FIBWORD_RHO_STEPS budget 100000")
-    # a semiprime of two 10-digit primes splits in ~2^17 steps, inside a budget of 10^6
+    # a semiprime of two 10-digit primes splits within 2^16 steps, inside a budget of 10^6
     monkeypatch.setenv("FIBWORD_RHO_STEPS", "1000000")
     assert run(capsys, "pisano", str((10 ** 9 + 7) * (10 ** 9 + 9)))[0] == 0
     assert run(capsys, "pisano", "1000000007")[0] == 0

@@ -560,7 +560,8 @@ def anchored_terms_oracle(base, j):
         return by_log2(j)
     t = j % _ANCHOR_SPACING
     z = t / (2 * (j - t) + t)
-    return by_log2(j - t) + round(z * (2 + z * z * (2 / 3 + z * z * 0.4)) * (2 ** 52 / math.log(base)))
+    ln = z * (2 + z * z * (2 / 3 + z * z * 0.4))  # ln(1 + t/a)
+    return by_log2(j - t) + round(ln * (2 ** 52 / math.log(base)))
 
 
 def anchored_fracs_oracle(base, n_max):
@@ -645,9 +646,8 @@ def test_block_walk_is_within_twice_the_bound_of_the_log2_walk(base):
     fracs = np.array(list(log_factorial_fracs_oracle(base, n_max)))
     gap = np.abs(walk - fracs)
     gap = np.minimum(gap, 1 - gap)  # wrap-around at 0 and 1
-    n = np.arange(n_max + 1)
-    bounds = np.array([_frac_error_bound(base, k) for k in range(n_max + 1)])
-    assert (gap <= 2 * bounds).all(), n[gap > 2 * bounds][:5]
+    bounds = np.array([_frac_error_bound(base, n) for n in range(n_max + 1)])
+    assert (gap <= 2 * bounds).all(), np.flatnonzero(gap > 2 * bounds)[:5]
     assert gap[_ANCHOR_FROM:].any()  # the anchored terms do move the walk
 
 
@@ -659,7 +659,8 @@ def test_grid_terms_within_their_bound_of_mpmath(base):
     u = 2.0 ** -53
     first = max(_ANCHOR_FROM, base ** 3)
     ranges = [(4090, 4200), (first - 20, first + 100)]
-    ranges += [(s, s + _ANCHOR_SPACING) for s in range(_FRAC_BLOCK + 1, 10 ** 8, 7 * _FRAC_BLOCK)]
+    starts = range(_FRAC_BLOCK + 1, 10 ** 8, 7 * _FRAC_BLOCK)
+    ranges += [(s, s + _ANCHOR_SPACING) for s in starts]
     ranges += [(j, j + 1) for j in random.Random(base).choices(range(1, 10 ** 8 + 1), k=10 ** 4)]
     with mpmath.workdps(40):
         ln_base = mpmath.log(base)
