@@ -180,14 +180,23 @@ def is_sturmian_profile(profile: ComplexityProfile) -> bool:
 def is_square_free(w: Word) -> bool:
     """True when w contains no factor of the shape uu with u nonempty.
 
-    Each prefix of length j compares floor(j/2) pairs of halves, n^2/4 in all for
-    n symbols, charged to FIBWORD_SQUARE_TEST_COMPARISONS before the first.
+    Each prefix of length j compares floor(j/2) pairs of halves, floor(L^2/4) in
+    all for the prefixes up to L. That amount is charged to
+    FIBWORD_SQUARE_TEST_COMPARISONS before the prefixes up to L = 2, 4, 8, ..., n
+    are checked, so a square found early ends the test at once, and a square-free
+    word is refused before its comparisons pass the budget.
     """
     data = w.data
     n = len(data)
-    charge("SQUARE_TEST_COMPARISONS", n * n // 4,
-           f"a square test of {n} symbols, {n * n // 4} comparisons,")
-    return all(_no_new_square(data[:j]) for j in range(2, n + 1))
+    start, stop = 2, 2
+    while start <= n:
+        stop = min(stop, n)
+        charge("SQUARE_TEST_COMPARISONS", stop * stop // 4,
+               f"a square test of {n} symbols, to length {stop}, {stop * stop // 4} comparisons,")
+        if not all(_no_new_square(data[:j]) for j in range(start, stop + 1)):
+            return False
+        start, stop = stop + 1, 2 * stop
+    return True
 
 
 def _no_new_square(w: bytes) -> bool:

@@ -108,7 +108,8 @@ def _split(n: int) -> int:
     The polynomial x^2 + c runs through c = 1, 2, ..., so the factor found
     depends only on n. Rho needs ~sqrt(q) steps for the least prime factor q
     of n; before each doubling of r, the steps of every c so far plus the
-    at most 2r of the next round are charged to FIBWORD_RHO_STEPS.
+    at most 2r of the next round are charged to FIBWORD_RHO_STEPS, and so
+    are the at most 128 steps of a batch that overshot, before it is redone.
     """
     c = steps = 0
     while True:
@@ -124,18 +125,22 @@ def _split(n: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                batch = min(128, r - k)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += 128
             steps += r + min(k, r)
             r *= 2
-        if g == n:  # the batch overshot: redo it one gcd at a time
+        if g == n:  # the batch overshot: redo it one gcd at a time, within its steps
+            charge("RHO_STEPS", steps + batch,
+                   f"Pollard rho on {n}, up to {steps + batch} polynomial steps,")
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
+                steps += 1
         if g != n:
             return g
 

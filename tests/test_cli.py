@@ -548,20 +548,34 @@ def test_rho_step_budget_exit_code(capsys, monkeypatch):
     assert run(capsys, "pisano", "1000000007")[0] == 0
 
 
+def square_free_ternary(n):
+    """The first n differences of the Thue-Morse word, plus one, as letters: square-free."""
+    thue_morse = [bin(i).count("1") % 2 for i in range(n + 1)]
+    return "".join("abc"[y - x + 1] for x, y in zip(thue_morse, thue_morse[1:]))
+
+
 def test_square_test_budget_exit_code(capsys, monkeypatch):
+    # a square-free word is charged floor(L^2/4) before its prefixes up to L = 2, 4, ..., n
+    monkeypatch.setenv("FIBWORD_SQUARE_TEST_COMPARISONS", "100000")
     start = time.perf_counter()
-    code, out, err = run(capsys, "squarefree", "--test", "abc" * 2200)
+    code, out, err = run(capsys, "squarefree", "--test", square_free_ternary(700))
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and err.count("\n") == 1
     error = json.loads(err)
     assert error["kind"] == "resource"
-    assert error["error"] == ("a square test of 6600 symbols, 10890000 comparisons, exceeds "
-                              "the FIBWORD_SQUARE_TEST_COMPARISONS budget 10000000")
-    monkeypatch.setenv("FIBWORD_SQUARE_TEST_COMPARISONS", "100")
-    code, payload = run_json(capsys, "squarefree", "--test", "abcacbabcbac" + "abcacbab")
-    assert code == 0 and payload["square_free"] is True  # 20 symbols, 100 comparisons
-    code, out, err = run(capsys, "squarefree", "--test", "abcacbabcbac" + "abcacbabc")
-    assert code == 2 and json.loads(err)["error"].endswith("budget 100")
+    assert error["error"] == ("a square test of 700 symbols, to length 700, 122500 comparisons, "
+                              "exceeds the FIBWORD_SQUARE_TEST_COMPARISONS budget 100000")
+    code, payload = run_json(capsys, "squarefree", "--test", square_free_ternary(632))
+    assert code == 0 and payload["square_free"] is True  # 99856 comparisons
+    # a word past the limit whose first square ends by length 512 is answered
+    long_word = square_free_ternary(500) + "aa" + square_free_ternary(198)
+    code, payload = run_json(capsys, "squarefree", "--test", long_word)
+    assert code == 0 and payload["square_free"] is False
+    monkeypatch.delenv("FIBWORD_SQUARE_TEST_COMPARISONS")
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "squarefree", "--test", "aa" + "abc" * 2200)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and payload["square_free"] is False
 
 
 @pytest.mark.parametrize("value", ("abc", "0", "-5"))
@@ -661,8 +675,9 @@ def word(text):
      "F mod 361 to (0, 1), past 300 steps,"),
     ("RHO_STEPS", 1000, lambda: fibword.pisano_period((10 ** 9 + 7) * (10 ** 9 + 9)),
      "Pollard rho on 1000000016000000063, up to "),
-    ("SQUARE_TEST_COMPARISONS", 100, lambda: fibword.is_square_free(word("ab" * 11)),
-     "a square test of 22 symbols, 121 comparisons,"),
+    ("SQUARE_TEST_COMPARISONS", 100, lambda: fibword.is_square_free(
+        fibword.Word.from_string(square_free_ternary(22), fibword.ternary_alphabet())),
+     "a square test of 22 symbols, to length 22, 121 comparisons,"),
 ])
 def test_every_refusal_names_its_budget_amount_and_limit(monkeypatch, name, limit, call, amount):
     monkeypatch.setenv("FIBWORD_" + name, str(limit))

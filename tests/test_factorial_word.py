@@ -610,7 +610,7 @@ EDGES = (_ANCHOR_FROM - 1, _ANCHOR_FROM, _ANCHOR_FROM + 1,
          _FRAC_BLOCK - 1, _FRAC_BLOCK, _FRAC_BLOCK + 1, 2 * _FRAC_BLOCK + 5)
 
 
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(base=st.integers(2, 36), data=st.data())
 def test_block_walk_equals_the_scalar_walk_across_block_edges(base, data):
     # the walk to n is a prefix of every longer walk, so one oracle run serves every edge
