@@ -344,6 +344,14 @@ def cmd_balance(args) -> tuple:
 
 
 def cmd_golden(args) -> tuple:
+    # the largest number printed is F(n_max + 1), and str() refuses an int of more
+    # digits than the interpreter's limit (0 for none; Pythons before 3.10.7 have
+    # none); F(n + 1) >= 10^limit once n >= 5 limit, so F is only evaluated below that
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and args.n_max > 0 and (args.n_max >= 5 * limit
+                                     or modfib.fib(args.n_max + 1) >= 10 ** limit):
+        raise DomainError(f"F(n_max + 1) for n_max = {args.n_max} has more than {limit} "
+                          "digits, the interpreter's limit for printing an integer")
     ratios = density.golden_density(args.n_max)
     rows = []
     for i, r in enumerate(ratios, start=1):

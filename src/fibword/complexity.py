@@ -217,14 +217,12 @@ def _subtree_counts(k: int, n_max: int, prefix: bytes,
     extensions of the level before. Before a level is built its k nodes per
     word are charged to FIBWORD_CENSUS_NODES, so a refusal names the length
     the walk reached. The counts end at n_max or at the first empty level.
-    When found is a list, the words of each level (the prefix included, if
-    nonempty) are appended to it by length, each level in lexicographic order.
+    When found is a list, the words of each level are appended to it by
+    length, each level in lexicographic order.
     """
     letters = [bytes((c,)) for c in range(k)]
     counts = [0] * len(prefix) + [1]
     level = [prefix]
-    if prefix and found is not None:
-        found.append(prefix)
     nodes = 0
     while level and len(counts) <= n_max:
         nodes += k * len(level)

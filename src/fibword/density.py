@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BalanceViolation, DomainError
-from .modfib import fib
+from .modfib import fib_pair
 from .words import Word, mbonacci_alphabet
 
 
@@ -188,7 +188,7 @@ def fibonacci_ratio(n: int) -> Fraction:
     """F(n) / F(n+1), exactly."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    return Fraction(fib(n), fib(n + 1))
+    return Fraction(*fib_pair(n))
 
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2

@@ -324,7 +324,9 @@ def leading_digits_search(base: int, prefix: "Word | str", n_budget: int) -> int
     import numpy as np
 
     m = len(prefix)
-    K = int(str(prefix), base)
+    K = 0
+    for d in prefix.data:   # not int(str, base), which refuses long decimal strings
+        K = K * base + d
     # n! starts with K iff frac(log_b n!) is in [log_b K, log_b(K + 1)) - (m - 1), inside
     # [0, 1]. The edges are off by 5u·m and the tests round by 3u, both under
     # (m + 1)·2^-50. Every hit lies in [lo, hi], which may wrap past 0 or 1, and every

@@ -1,10 +1,10 @@
 """Fibonacci and Lucas numbers modulo m: periods, zero sets, residue densities.
 
-Periods and ranks come from order reduction: Wall (Amer. Math. Monthly 67,
-1960) shows pi(q^k) divides q^(k-1) pi(q), and pi(q) divides q - 1 or
-2(q + 1) for a prime q != 2, 5. Fast doubling tests each divisor in
-O(log m) multiplications, so no period is walked. The only walk left is the
-residue walk behind the densities, done in numpy blocks for every modulus.
+Periods come from order reduction: Wall (Amer. Math. Monthly 67, 1960) shows
+pi(q^k) divides q^(k-1) pi(q), and pi(q) divides q - 1 or 2(q + 1) for a prime
+q != 2, 5. Fast doubling tests each divisor in O(log m) multiplications, and
+the rank of apparition is read off the period, so no period is walked. The
+only walk is the residue walk behind the densities, in numpy blocks.
 """
 
 from __future__ import annotations
@@ -191,21 +191,6 @@ def _factor(n: int) -> dict[int, int]:
 # periods by order reduction
 
 
-def _least_order(n: int, factors: dict[int, int], holds) -> int:
-    """The least divisor d of n = prod q^k with holds(d).
-
-    Needs holds(n), and that the d with holds(d) are exactly the multiples
-    of that least one; then dividing out each prime while holds() stays true
-    ends there.
-    """
-    for q, k in factors.items():
-        for _ in range(k):
-            if not holds(n // q):
-                break
-            n //= q
-    return n
-
-
 def _period_multiple(q: int, k: int) -> tuple[int, dict[int, int]]:
     """q^(k-1) pi(q) with its factorization, a proven multiple of pi(q^k)."""
     if q == 2:
@@ -216,52 +201,74 @@ def _period_multiple(q: int, k: int) -> tuple[int, dict[int, int]]:
         factors = _factor(q - 1 if q % 5 in (1, 4) else 2 * (q + 1))
     factors[q] = factors.get(q, 0) + k - 1
     n = prod(r ** e for r, e in factors.items())
-    m = q ** k
-    if fib_pair_mod(n, m) != (0, 1):
-        raise RuntimeError(f"refusing to continue: {n} is not a period of F mod {m}, "
+    if fib_pair_mod(n, q ** k) != (0, 1):
+        raise RuntimeError(f"refusing to continue: {n} is not a period of F mod {q ** k}, "
                            "which contradicts Wall's theorem")
     return n, factors
 
 
-def _prime_power_orders(m: int, holds):
-    """The least n with holds(n, q^k) for each prime power q^k || m."""
+def pisano_period(m: int) -> int:
+    """Period of F mod m, the lcm of pi(q^k) over the prime powers q^k || m.
+
+    The d with (F(d), F(d+1)) = (0, 1) mod q^k are the multiples of pi(q^k), so
+    dividing Wall's multiple by its primes while that holds ends at pi(q^k).
+    """
     if m < 2:
         raise DomainError("modulus must be at least 2")
+    periods = []
     for q, k in _factor(m).items():
         n, factors = _period_multiple(q, k)
-        yield _least_order(n, factors, lambda d: holds(d, q ** k))
+        for r in factors:
+            while n % r == 0 and fib_pair_mod(n // r, q ** k) == (0, 1):
+                n //= r
+        periods.append(n)
+    return lcm(*periods)
 
 
-def pisano_period(m: int) -> int:
-    """Period of the Fibonacci sequence modulo m, the lcm over its prime powers."""
-    return lcm(*_prime_power_orders(m, lambda d, qk: fib_pair_mod(d, qk) == (0, 1)))
+def _rank(m: int, period: int) -> int:
+    """The rank of apparition alpha of m >= 2, read off its Pisano period.
+
+    With c = F(alpha - 1) = F(alpha + 1) mod m, F(n + alpha) = F(alpha) F(n + 1)
+    + F(alpha - 1) F(n) = c F(n), and Cassini, F(alpha - 1) F(alpha + 1) -
+    F(alpha)^2 = (-1)^alpha, gives c^2 = (-1)^alpha. So c is a unit, the zeros
+    of F mod m are the multiples of alpha, (F(j alpha), F(j alpha + 1)) =
+    (0, c^j), and period = alpha ord(c) with ord(c) in {1, 2, 4}: alpha is the
+    least of period/4, period/2 and period that is an integer with F = 0 mod m.
+    """
+    if period % 4 == 0:
+        f, g = fib_pair_mod(period // 4, m)
+        if f == 0:
+            return period // 4
+        f *= 2 * g - f   # F(2k) = F(k) (2 F(k+1) - F(k)) at k = period/4
+    else:
+        f = fib_mod(period // 2, m) if period % 2 == 0 else 1
+    return period // 2 if f % m == 0 else period
 
 
 def restricted_period(m: int) -> int:
-    """Smallest k >= 1 with F(k) divisible by m (the rank of apparition).
-
-    m | F(n) exactly when every prime power of m does, and each rank divides
-    its period, so the rank is the lcm of the prime-power ranks.
-    """
-    return lcm(*_prime_power_orders(m, lambda d, qk: fib_mod(d, qk) == 0))
+    """Smallest k >= 1 with F(k) divisible by m (the rank of apparition)."""
+    return _rank(m, pisano_period(m))
 
 
-def lucas_zeros(p: int) -> tuple[int, ...]:
-    """Indices i in [0, pisano(p)) with L(i) divisible by the prime p.
+def _periods(p: int) -> tuple[int, int, tuple[int, ...]]:
+    """pi(p), alpha(p) and the i in [0, pi(p)) with L(i) divisible by the prime p.
 
     L(n) F(n) = F(2n) and gcd(F(n), L(n)) divides 2, so for odd p the zeros
     are the n = alpha/2 (mod alpha) when the rank alpha is even, and there
     are none when it is odd. L(n) is even exactly when 3 | n.
     """
+    period = pisano_period(p)
+    alpha = _rank(p, period)
+    if p == 2:
+        return period, alpha, tuple(range(0, period, 3))
+    return period, alpha, tuple(range(alpha // 2, period, alpha) if alpha % 2 == 0 else ())
+
+
+def lucas_zeros(p: int) -> tuple[int, ...]:
+    """Indices i in [0, pisano(p)) with L(i) divisible by the prime p."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    period = pisano_period(p)
-    if p == 2:
-        return tuple(range(0, period, 3))
-    alpha = restricted_period(p)
-    if alpha % 2:
-        return ()
-    return tuple(range(alpha // 2, period, alpha))
+    return _periods(p)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +378,12 @@ def prime_context(p: int) -> PrimeContext:
         )
     eps = 1 if p % 5 in (1, 4) else -1
     if fib_mod(p - eps, p) != 0:
-        raise RuntimeError(
-            f"refusing to continue: p={p} does not divide F(p - {eps:+d}), "
-            "which contradicts the defining property of eps"
-        )
+        raise RuntimeError(f"refusing to continue: p={p} does not divide F(p - {eps:+d}), "
+                           "which contradicts the defining property of eps")
     e = 1
     while fib_mod(p - eps, p ** (e + 1)) == 0:
         e += 1
-    return PrimeContext(
-        prime=p,
-        eps=eps,
-        e=e,
-        pisano=pisano_period(p),
-        restricted=restricted_period(p),
-        lucas_zero_indices=lucas_zeros(p),
-    )
+    return PrimeContext(p, eps, e, *_periods(p))
 
 
 @dataclass(frozen=True)

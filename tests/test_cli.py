@@ -205,6 +205,26 @@ def test_golden_command(capsys):
     assert payload["last_within_1e15"] is False
 
 
+def test_golden_refuses_ratios_past_the_interpreter_digit_limit(capsys):
+    """F(n_max + 1) is printed, so golden refuses an n_max whose F(n_max + 1) has
+    more digits than str() allows, before it builds any ratio."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, payload = run_json(capsys, "golden", "--n-max", "3063")
+        assert code == 0 and len(payload["ratios"][-1]["ratio"].split("/")[1]) == 640
+        start = time.perf_counter()
+        code, out, err = run(capsys, "golden", "--n-max", "3064")
+        assert time.perf_counter() - start < 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["kind"] == "domain" and "more than 640 digits" in error["error"]
+    code, out, err = run(capsys, "golden", "--n-max", "0")
+    assert code == 1 and "at least 1" in json.loads(err)["error"]
+
+
 def test_perron_command(capsys):
     code, payload = run_json(capsys, "perron", "--m", "3")
     assert code == 0
@@ -353,6 +373,13 @@ def test_weyl_command(capsys):
     assert payload["weyl_magnitude"] < 0.2
     report = fibword.logfactorial_equidistribution(10, 2000, bins=20)
     assert payload["near_edge"] == report.near_edge
+
+
+def test_leading_target_longer_than_the_digit_limit(capsys):
+    """A target of more digits than int(str) converts is read digit by digit."""
+    target = "1" + "0" * 4400
+    code, payload = run_json(capsys, "leading", "--target", target, "--n-budget", "10")
+    assert code == 0 and payload["n"] is None and payload["target"] == target
 
 
 @pytest.mark.parametrize("argv", [["weyl", "--n-max"], ["leading", "--target", "7", "--n-budget"]])

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -457,15 +457,57 @@ def test_is_prime_accepts_large_primes():
         assert is_prime(p)
 
 
+def prime_divisors(n):
+    """The primes of n, by the library's factoring, checked to multiply back to n."""
+    factors = modfib._factor(n)
+    assert prod(q ** k for q, k in factors.items()) == n
+    assert all(is_prime(q) for q in factors)
+    return list(factors)
+
+
 def test_periods_of_large_composites():
-    """Prime squares, a semiprime and 2^64 need the rho and root factoring."""
-    for m in ((10 ** 9 + 7) ** 2, (10 ** 9 + 7) * (10 ** 9 + 9), 2 ** 64, 10 ** 12):
+    """Prime squares, a semiprime and 2^64 need the rho and root factoring.
+
+    Each period and rank is certified least: no prime may be divided out of
+    either. The moduli cover the three ratios pi/alpha = 1, 2 and 4.
+    """
+    ratios = set()
+    for m in ((10 ** 9 + 7) ** 2, (10 ** 9 + 7) * (10 ** 9 + 9), 2 ** 64, 10 ** 12,
+              (2 ** 61 - 1) ** 2, 11 * (2 ** 61 - 1), 13 ** 8 * 17 ** 3, 61 ** 10):
         period, alpha = pisano_period(m), restricted_period(m)
         assert fib_pair_mod(period, m) == (0, 1)
         assert period % alpha == 0 and fib_mod(alpha, m) == 0
+        assert all(fib_mod(alpha // q, m) != 0 for q in prime_divisors(alpha)), m
+        assert all(fib_pair_mod(period // q, m) != (0, 1) for q in prime_divisors(period)), m
+        ratios.add(period // alpha)
+    assert ratios == {1, 2, 4}
     assert pisano_period(2 ** 64) == 3 * 2 ** 63
     assert pisano_period(10 ** 12) == 1_500_000_000_000
     assert restricted_period(10 ** 12) == 750_000_000_000
+
+
+@pytest.mark.parametrize("call, arg, powers", [
+    (pisano_period, 10 ** 12, [(2, 12), (5, 12)]),
+    (restricted_period, 13 ** 8 * 17 ** 3, [(13, 8), (17, 3)]),
+    (restricted_period, 2 ** 64, [(2, 64)]),
+    (lucas_zeros, 7, [(7, 1)]),
+    (lucas_zeros, 2, [(2, 1)]),
+    (prime_context, 1_000_003, [(1_000_003, 1)]),
+    (density_formula, 19, [(19, 1)]),
+])
+def test_one_order_reduction_per_prime_power(monkeypatch, call, arg, powers):
+    """The rank and the Lucas zeros are read off the period: every caller
+    reduces Wall's multiple once per prime power of its modulus."""
+    calls = []
+    reduce = modfib._period_multiple
+
+    def spy(q, k):
+        calls.append((q, k))
+        return reduce(q, k)
+
+    monkeypatch.setattr(modfib, "_period_multiple", spy)
+    call(arg)
+    assert sorted(calls) == powers
 
 
 def test_lucas_zeros_rejects_composites():
