@@ -393,8 +393,9 @@ def cmd_pisano(args) -> tuple:
 
 
 def cmd_lucaszeros(args) -> tuple:
-    zeros = modfib.lucas_zeros(args.prime)
-    period = modfib.pisano_period(args.prime)
+    if not modfib.is_prime(args.prime):
+        raise DomainError(f"{args.prime} is not prime")
+    period, _, zeros = modfib._periods(args.prime)
     payload = {
         "prime": args.prime,
         "pisano": period,

@@ -262,6 +262,8 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
     """
     if alphabet_size < 1:
         raise DomainError("alphabet_size must be at least 1")
+    if alphabet_size > 255:
+        raise DomainError("alphabets larger than 255 symbols are not supported")
     if workers < 1:
         raise DomainError("workers must be at least 1")
     budget("CENSUS_NODES")  # a malformed value is refused even when nothing is walked

@@ -307,14 +307,13 @@ def _fib_blocks(m: int, segments: list[tuple[int, int]]):
     """Yield F(start), ..., F(start + steps - 1) mod m in blocks for each index range
     (start, steps) of segments in turn, m >= 2.
 
-    Every segment shifts one base block. A block is at most min(_BLOCK, m) values
-    long, so a caller that stops at the first return to (0, 1) walks little past it.
+    Every segment shifts one base block, min(_BLOCK, longest segment) values long.
     Blocks are int64 up to m = 2^63 (int64 indexes faster than uint64) and object
     arrays above.
     """
     import numpy as np
 
-    size = min(_BLOCK, m, max((steps for _, steps in segments), default=0))
+    size = min(_BLOCK, max((steps for _, steps in segments), default=0))
     e = _base_block(m, size)
     f, g = e[1:], e[:-1]
     for start, steps in segments:
@@ -433,11 +432,12 @@ def density_formula(p: int) -> DensityResult:
 
 
 def residue_density_bruteforce(p: int, lam: int) -> Fraction:
-    """|{F(n) mod p^lam}| / p^lam by walking one full period.
+    """|{F(n) mod p^lam}| / p^lam by walking the period pisano_period gives.
 
-    Exact and formula-free, which is what makes it a useful cross-check: the
-    walk finds the period itself, as the first return to (0, 1). The modulus
-    budget bounds the bitmap and the period-step budget the walk.
+    The modulus budget bounds the bitmap of p^lam cells, charged before p^lam
+    is built, and the period-step budget the walk, charged before it starts.
+    The check that uses no period finder, a walk to the first return of F mod
+    p^lam to (0, 1), lives in the tests.
     """
     import numpy as np
 
@@ -447,23 +447,17 @@ def residue_density_bruteforce(p: int, lam: int) -> Fraction:
         raise DomainError("lambda must be nonnegative")
     if lam == 0:
         return Fraction(1, 1)
+    # p >= 2, so a lam past the bit length of the limit is charged p^(that + 1),
+    # which already exceeds it, without building p^lam
+    lam_cap = budget("MODULUS_LIMIT").bit_length() + 1
+    charge("MODULUS_LIMIT", p ** min(lam, lam_cap), f"p^lambda = {p}^{lam}")
     modulus = p ** lam
-    charge("MODULUS_LIMIT", modulus, f"p^lambda = {modulus}")
-    steps = budget("PERIOD_STEPS")
+    period = pisano_period(modulus)
+    charge("PERIOD_STEPS", period, f"the residue walk mod {p}^{lam}, which needs {period} steps,")
     seen = np.zeros(modulus, dtype=bool)
-    start, prev = 0, None
-    for block in _fib_blocks(modulus, [(0, steps)]):
-        # (F(t), F(t+1)) = (0, 1) exactly when F(t) = 0 and F(t-1) = 1
-        for j in np.flatnonzero(block == 0).tolist():
-            before = block[j - 1] if j else prev
-            if start + j > 0 and before == 1:
-                seen[block[:j]] = True
-                return Fraction(int(np.count_nonzero(seen)), modulus)
+    for block in _fib_blocks(modulus, [(0, period)]):
         seen[block] = True
-        start, prev = start + len(block), block[-1]
-    # no return within the whole budget: one step past it is always refused
-    charge("PERIOD_STEPS", steps + 1,
-           f"the walk to the first return of F mod {modulus} to (0, 1), past {steps} steps,")
+    return Fraction(int(np.count_nonzero(seen)), modulus)
 
 
 def bruteforce_trace(p: int, lam_max: int) -> list[Fraction]:

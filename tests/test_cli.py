@@ -661,6 +661,14 @@ def test_squarefree_listing_names_the_alphabet_range(capsys):
     assert error["kind"] == "domain" and "1..26" in error["error"]
 
 
+def test_census_past_255_letters_is_one_domain_error(capsys):
+    code, out, err = run(capsys, "squarefree", "--alphabet-size", "300", "--n-max", "3")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    error = json.loads(err)
+    jsonschema.validate(error, SCHEMA)
+    assert error["kind"] == "domain" and "255" in error["error"]
+
+
 def test_readme_budget_table_matches_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Resource budgets", 1)[1].split("\n#", 1)[0]
@@ -697,9 +705,9 @@ def word(text):
     ("WEYL_BINS", 1000, lambda: fibword.logfactorial_equidistribution(10, 10, bins=1001),
      "bins = 1001"),
     ("PERIOD_STEPS", 1000, lambda: fibword.density_formula(10007), "needs 20014 steps"),
-    ("MODULUS_LIMIT", 100, lambda: fibword.residue_density_bruteforce(19, 2), "p^lambda = 361"),
+    ("MODULUS_LIMIT", 100, lambda: fibword.residue_density_bruteforce(19, 2), "p^lambda = 19^2"),
     ("PERIOD_STEPS", 300, lambda: fibword.residue_density_bruteforce(19, 2),
-     "F mod 361 to (0, 1), past 300 steps,"),
+     "the residue walk mod 19^2, which needs 342 steps,"),
     ("RHO_STEPS", 1000, lambda: fibword.pisano_period((10 ** 9 + 7) * (10 ** 9 + 9)),
      "Pollard rho on 1000000016000000063, up to "),
     ("SQUARE_TEST_COMPARISONS", 100, lambda: fibword.is_square_free(

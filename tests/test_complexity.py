@@ -612,6 +612,13 @@ def test_square_free_listing_names_its_alphabet_range(size):
         square_free_words(size, 2)
 
 
+@pytest.mark.parametrize("size", (256, 300))
+def test_census_refuses_alphabets_past_255_letters(size):
+    with pytest.raises(DomainError, match="255"):
+        square_free_census(size, 3)
+    assert square_free_census(255, 3).counts == (1, 255, 255 * 254, 255 * 254 ** 2)
+
+
 def test_square_free_listing_node_budget(monkeypatch):
     # the listing walks the full tree of words under the census budget
     monkeypatch.setenv("FIBWORD_CENSUS_NODES", "1000")

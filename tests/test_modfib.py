@@ -1,6 +1,8 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import isqrt, prod
 
 import numpy as np
@@ -14,6 +16,7 @@ from fibword import (
     DomainError,
     PrimeContext,
     bruteforce_trace,
+    cli,
     density_formula,
     fib,
     fib_mod,
@@ -341,6 +344,13 @@ def test_bruteforce_tail_bound():
 def test_bruteforce_budget(monkeypatch):
     with pytest.raises(BudgetError):
         residue_density_bruteforce(19, 9)
+    # the modulus is charged before p^lambda is built: 19^5000 has 6394 digits,
+    # more than str() converts by default, and 19^(3 10^6) takes seconds to build
+    for lam in (5000, 3 * 10 ** 6):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=rf"p\^lambda = 19\^{lam} exceeds"):
+            residue_density_bruteforce(19, lam)
+        assert time.perf_counter() - start < 1
     # the environment overrides the default
     monkeypatch.setenv("FIBWORD_MODULUS_LIMIT", "100")
     with pytest.raises(BudgetError):
@@ -408,14 +418,31 @@ def test_object_walk_matches_numpy_walk(p):
         modfib._NUMPY_MODULUS, modfib._BLOCK = original
 
 
-@pytest.mark.parametrize("p,lam", [(2, 5), (3, 4), (7, 3), (19, 2), (101, 2), (211, 2)])
-def test_bruteforce_matches_walk(p, lam):
+def assert_bruteforce_matches_walk(p, lam):
+    """The library walks the period pisano_period gives; the oracle walks to the
+    first return of F mod p^lam to (0, 1) and uses no period finder."""
     m = p ** lam
     seen, a, b = set(), 0, 1
     for _ in range(pisano_walk(m)):
         seen.add(a)
         a, b = b, (a + b) % m
     assert residue_density_bruteforce(p, lam) == Fraction(len(seen), m)
+
+
+@pytest.mark.parametrize("p,lam", [(2, 5), (3, 4), (7, 3), (19, 2), (101, 2), (211, 2)])
+def test_bruteforce_matches_walk(p, lam):
+    assert_bruteforce_matches_walk(p, lam)
+
+
+# 2^17 <= 2 10^5 < 2^18, so no prime power in range has an exponent past 17
+PRIME_POWERS_TO_2E5 = [(p, lam) for p in PRIMES_BELOW_3000
+                       for lam in range(1, 18) if p ** lam <= 2 * 10 ** 5]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(PRIME_POWERS_TO_2E5))
+def test_bruteforce_matches_walk_property(power):
+    assert_bruteforce_matches_walk(*power)
 
 
 # Fibonacci primes F(47), F(83), F(131) and Lucas primes L(41), L(47), L(113):
@@ -494,6 +521,9 @@ def test_periods_of_large_composites():
     (lucas_zeros, 2, [(2, 1)]),
     (prime_context, 1_000_003, [(1_000_003, 1)]),
     (density_formula, 19, [(19, 1)]),
+    (cli.main, ["lucaszeros", "7"], [(7, 1)]),
+    (partial(residue_density_bruteforce, 19), 3, [(19, 3)]),
+    (partial(bruteforce_trace, 19), 3, [(19, 1), (19, 2), (19, 3)]),
 ])
 def test_one_order_reduction_per_prime_power(monkeypatch, call, arg, powers):
     """The rank and the Lucas zeros are read off the period: every caller
@@ -527,7 +557,11 @@ def test_density_walk_budget(monkeypatch):
 
 
 def test_bruteforce_walk_budget(monkeypatch):
-    monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "300")
-    with pytest.raises(BudgetError, match="300 steps"):
-        residue_density_bruteforce(19, 2)   # the period mod 361 is 342
+    # the period mod 361 is 342, charged in full before the walk
+    for limit in (300, 341):
+        monkeypatch.setenv("FIBWORD_PERIOD_STEPS", str(limit))
+        with pytest.raises(BudgetError, match=rf"mod 19\^2, which needs 342 steps, .* {limit}$"):
+            residue_density_bruteforce(19, 2)
     assert residue_density_bruteforce(19, 1) == Fraction(12, 19)
+    monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "342")
+    assert residue_density_bruteforce(19, 2) == Fraction(210, 361)
