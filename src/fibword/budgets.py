@@ -44,3 +44,12 @@ def charge(name: str, used: int, what: str) -> None:
     limit = budget(name)
     if used > limit:
         raise BudgetError(f"{what} exceeds the FIBWORD_{name} budget {limit}")
+
+
+def charge_power(name: str, base: int, exponent: int, what: str) -> None:
+    """Charge base^exponent, base >= 2, without building a power far past the limit.
+
+    base^(b + 1) >= 2^(b + 1) exceeds a limit of b bits, so an exponent past
+    b + 1 is charged base^(b + 1) and refused just the same.
+    """
+    charge(name, base ** min(exponent, budget(name).bit_length() + 1), what)

@@ -141,6 +141,9 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     if L > _ARITH_MAXLEN:
         raise BudgetError(f"arithmetic complexity takes words of at most "
                           f"{_ARITH_MAXLEN} symbols, got {L}")
+    counts = [len(set(data))]  # a(1), the letters: no pairs needed
+    if n_max == 1:
+        return ComplexityProfile("arithmetic", tuple(counts))
     import numpy as np
 
     symbols = np.frombuffer(data, dtype=np.uint8)
@@ -153,7 +156,6 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     del pairs
     name = symbols[last]  # the one-symbol words i, named by their symbol
     K = k  # one more than the largest name
-    counts = [len(set(data))]
     for _ in range(2, n_max + 1):
         last += step
         fits = last < L

@@ -5,7 +5,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 
-from .budgets import budget, charge
+from .budgets import budget, charge, charge_power
 from .errors import DomainError
 from .words import Word, digit_alphabet
 
@@ -153,10 +153,7 @@ def coverage_profile(base: int, k: int, digit_budget: int | None = None,
         raise DomainError("block budget must be nonnegative")
     if digit_budget is not None and digit_budget < k:
         raise DomainError(f"digit budget {digit_budget} cannot hold a length-{k} window")
-    # base >= 2, so a k past the bit length of the limit is charged base^(that + 1),
-    # already over the limit, and base^k is never built
-    k_cap = budget("COVERAGE_CELLS").bit_length() + 1
-    charge("COVERAGE_CELLS", base ** min(k, k_cap), f"base^k = {base}^{k}")
+    charge_power("COVERAGE_CELLS", base, k, f"base^k = {base}^{k}")
     if block_budget is None:
         charge("FACTORIAL_DIGITS", digit_budget, f"{digit_budget} digits")
         chunks = _chunks(base, k - 1, _COVERAGE_RUN, digits=digit_budget)

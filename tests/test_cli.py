@@ -205,6 +205,22 @@ def test_golden_command(capsys):
     assert payload["last_within_1e15"] is False
 
 
+def test_golden_deviations_past_the_cutoff_are_zero(capsys, monkeypatch):
+    """From F(n + 1) >= 2^538 golden prints 0.0 without computing the deviation;
+    every deviation it prints is the float of golden_deviation."""
+    deviation = fibword.golden_deviation
+    calls = []
+    monkeypatch.setattr(fibword.density, "golden_deviation",
+                        lambda d: calls.append(d) or deviation(d))
+    code, payload = run_json(capsys, "golden", "--n-max", "790")
+    assert code == 0
+    cutoff = next(n for n in range(1, 791) if fibword.fib(n + 1) >= 2 ** 538)
+    assert cutoff == 776 and len(calls) == cutoff - 1
+    for row in payload["ratios"]:
+        assert row["deviation"] == float(deviation(Fraction(row["ratio"])))
+    assert payload["ratios"][700]["deviation"] > 0
+
+
 def test_golden_refuses_ratios_past_the_interpreter_digit_limit(capsys):
     """F(n_max + 1) is printed, so golden refuses an n_max whose F(n_max + 1) has
     more digits than str() allows, before it builds any ratio."""
@@ -721,6 +737,19 @@ def test_every_refusal_names_its_budget_amount_and_limit(monkeypatch, name, limi
     message = str(refusal.value)
     assert amount in message
     assert message.endswith(f" exceeds the FIBWORD_{name} budget {limit}")
+
+
+def test_charge_power_never_builds_a_power_far_past_the_limit(monkeypatch):
+    # 3^(10^9) has 4.8 10^8 digits; the charge stops at 3^(bits of the limit + 1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"^3\^1000000000 exceeds the FIBWORD_COVERAGE_CELLS "
+                                          r"budget 20000000$"):
+        budgets.charge_power("COVERAGE_CELLS", 3, 10 ** 9, "3^1000000000")
+    assert time.perf_counter() - start < 1
+    monkeypatch.setenv("FIBWORD_MODULUS_LIMIT", "1024")
+    budgets.charge_power("MODULUS_LIMIT", 2, 10, "2^10")
+    with pytest.raises(BudgetError, match="^2\\^11 exceeds"):
+        budgets.charge_power("MODULUS_LIMIT", 2, 11, "2^11")
 
 
 def test_pisano_of_a_large_prime(capsys):

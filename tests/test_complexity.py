@@ -436,6 +436,20 @@ def test_arithmetic_complexity_memory():
     assert peak < 60 * 2 ** 20
 
 
+def test_arithmetic_complexity_of_one_symbol_builds_no_pairs():
+    # a(1) is the number of letters; the L^2 / 2 pairs took 96 MiB traced at L = 4096
+    w = fixed_point_prefix(fibonacci_morphism(), "a", complexity._ARITH_MAXLEN)
+    tracemalloc.start()
+    try:
+        profile = arithmetic_complexity(w, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.counts == (2,)
+    assert peak < 2 ** 20
+    assert arithmetic_complexity(Word.from_string("aaaa", Alphabet("ab")), 1).counts == (1,)
+
+
 def test_arithmetic_complexity_length_cap():
     # refused before numpy or any record is touched
     w = fixed_point_prefix(fibonacci_morphism(), "a", complexity._ARITH_MAXLEN + 1)

@@ -434,6 +434,14 @@ def test_bruteforce_matches_walk(p, lam):
     assert_bruteforce_matches_walk(p, lam)
 
 
+@pytest.mark.parametrize("p,lam", [(1597, 1), (1597, 2), (28657, 1), (514229, 1)])
+def test_bruteforce_matches_walk_on_sparse_residue_sets(p, lam):
+    # Fibonacci primes have short periods: p^lam > 8 pi(p^lam), so the residues
+    # are counted as sorted values, not in a bitmap of p^lam cells
+    assert p ** lam > 8 * pisano_walk(p ** lam)
+    assert_bruteforce_matches_walk(p, lam)
+
+
 # 2^17 <= 2 10^5 < 2^18, so no prime power in range has an exponent past 17
 PRIME_POWERS_TO_2E5 = [(p, lam) for p in PRIMES_BELOW_3000
                        for lam in range(1, 18) if p ** lam <= 2 * 10 ** 5]
@@ -490,6 +498,35 @@ def prime_divisors(n):
     assert prod(q ** k for q, k in factors.items()) == n
     assert all(is_prime(q) for q in factors)
     return list(factors)
+
+
+PRIMES_1000_TO_3000 = [p for p in PRIMES_BELOW_3000 if p > 1000]
+
+
+def test_rho_splits_every_product_of_two_primes_from_1000_to_3000():
+    for i, p in enumerate(PRIMES_1000_TO_3000):
+        for q in PRIMES_1000_TO_3000[i:]:
+            assert modfib._split(p * q) in (p, q), (p, q)
+
+
+def factor_trial(n):
+    """{q: k} of n by trial division."""
+    factors, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_products_of_three_primes_factor_as_trial_division_says():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = prod(rng.choices(PRIMES_1000_TO_3000, k=3))
+        assert modfib._factor(n) == factor_trial(n), n
 
 
 def test_periods_of_large_composites():
