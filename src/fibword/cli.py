@@ -352,24 +352,30 @@ def cmd_golden(args) -> tuple:
                                      or modfib.fib(args.n_max + 1) >= 10 ** limit):
         raise DomainError(f"F(n_max + 1) for n_max = {args.n_max} has more than {limit} "
                           "digits, the interpreter's limit for printing an integer")
-    ratios = density.golden_density(args.n_max)
-    # ratio n is F(n)/F(n + 1) in lowest terms, so each F is converted to a string
-    # once. |F(n)/F(n + 1) - (phi - 1)| = 1/(phi^(n + 1) F(n + 1)) < 1/F(n + 1)^2
-    # (Binet, with F(n + 1) <= phi^n), so from F(n + 1) >= 2^538 the deviation is
-    # below 2^-1076, and golden_deviation's 2^-65 relative error leaves it below
-    # half the least subnormal: its float is 0.0.
-    fibs = [str(r.numerator) for r in ratios] + [str(ratios[-1].denominator)]
-    rows = [(n, f"{fibs[n - 1]}/{fibs[n]}",
-             0.0 if r.denominator.bit_length() > 538 else float(density.golden_deviation(r)))
-            for n, r in enumerate(ratios, start=1)]
+    if args.n_max < 1:
+        raise DomainError("n_max must be at least 1")
+    fib = [1, 1]  # F(1), F(2), ..., F(n_max + 1)
+    for _ in range(args.n_max - 1):
+        fib.append(fib[-2] + fib[-1])
+    # consecutive Fibonacci numbers are coprime, so F(n)/F(n + 1) is printed in
+    # lowest terms with each F converted to a string once. |F(n)/F(n + 1) - (phi - 1)|
+    # = 1/(phi^(n + 1) F(n + 1)) < 1/F(n + 1)^2 (Binet, with F(n + 1) <= phi^n), so
+    # from F(n + 1) >= 2^538 the deviation is below 2^-1076, and golden_deviation's
+    # 2^-65 relative error leaves it below half the least subnormal: its float is
+    # 0.0, and no Fraction is built there.
+    fibs = [str(f) for f in fib]
+    rows = [(n, f"{fibs[n - 1]}/{fibs[n]}", 0.0 if fib[n].bit_length() > 538
+             else float(density.golden_deviation(Fraction(fib[n - 1], fib[n]))))
+            for n in range(1, args.n_max + 1)]
     payload = {
         "ratios": [{"n": n, "ratio": r, "deviation": dev} for n, r, dev in rows],
         "tolerance": 1e-15,
     }
-    # str(Fraction(1)) is "1"; JSON and CSV keep "1/1"
+    # the text line prints F(1)/F(2) as "1"; JSON and CSV keep "1/1"
     lines = [f"F({n})/F({n + 1}) = {r.removesuffix('/1')} (off by {dev:.3e})"
              for n, r, dev in rows]
-    certified = density.golden_deviation_below(ratios[-1], Fraction(1, 10 ** 15))
+    certified = density.golden_deviation_below(Fraction(fib[-2], fib[-1]),
+                                               Fraction(1, 10 ** 15))
     payload["last_within_1e15"] = certified
     if certified:
         lines.append(f"F({args.n_max})/F({args.n_max + 1}) is within 1e-15 of phi - 1 "

@@ -1,6 +1,7 @@
 """Complexity profiles, square-free censuses, a block code, and palindrome counts."""
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .budgets import budget, charge
@@ -211,31 +212,27 @@ def _no_new_square(w: bytes) -> bool:
     return True
 
 
-def _subtree_counts(k: int, n_max: int, prefix: bytes,
-                    found: list[bytes] | None = None) -> list[int]:
-    """Count the square-free words that extend prefix, by absolute length.
+def _square_free_levels(k: int, n_max: int, prefix: bytes) -> Iterator[list[bytes]]:
+    """Yield the square-free words that extend prefix, one level per length.
 
-    The walk goes by length: each level holds the square-free one-letter
-    extensions of the level before. Before a level is built its k nodes per
-    word are charged to FIBWORD_CENSUS_NODES, so a refusal names the length
-    the walk reached. The counts end at n_max or at the first empty level.
-    When found is a list, the words of each level are appended to it by
-    length, each level in lexicographic order.
+    Each level holds the square-free one-letter extensions of the level
+    before, in lexicographic order, for the lengths len(prefix) + 1 to n_max.
+    Before a level is built its k nodes per word are charged to
+    FIBWORD_CENSUS_NODES, so a refusal names the length the walk reached. The
+    walk returns after the first empty level.
     """
     letters = [bytes((c,)) for c in range(k)]
-    counts = [0] * len(prefix) + [1]
     level = [prefix]
     nodes = 0
-    while level and len(counts) <= n_max:
+    for length in range(len(prefix) + 1, n_max + 1):
         nodes += k * len(level)
         charge("CENSUS_NODES", nodes,
-               f"the square-free walk to length {len(counts)} of {n_max}, at {nodes} nodes,")
+               f"the square-free walk to length {length} of {n_max}, at {nodes} nodes,")
         level = [child for w in level for child in (w + c for c in letters)
                  if _no_new_square(child)]
-        counts.append(len(level))
-        if found is not None:
-            found.extend(level)
-    return counts
+        yield level
+        if not level:
+            return
 
 
 @dataclass(frozen=True)
@@ -281,12 +278,11 @@ def square_free_census(alphabet_size: int, n_max: int | None = None,
 
     k = alphabet_size
     if k < 2 or n_max < 2:
-        counts = _subtree_counts(k, n_max, b"")
+        counts = [1] + [len(level) for level in _square_free_levels(k, n_max, b"")]
     else:
         renamings = k * (k - 1)
-        counts = [renamings * c for c in _subtree_counts(k, n_max, b"\x00\x01")]
-        counts[1] = k
-    counts[0] = 1
+        counts = [1, k, renamings] + [renamings * len(level) for level in
+                                      _square_free_levels(k, n_max, b"\x00\x01")]
     return SquareFreeCensus(alphabet_size, tuple(counts), counts[-1] == 0)
 
 
@@ -295,7 +291,8 @@ def square_free_words(alphabet_size: int, max_len: int | None = None) -> list[Wo
     (unbounded only for <= 2 letters).
 
     The walk covers the whole tree of words length by length, under the
-    FIBWORD_CENSUS_NODES node budget, and lists the words by length.
+    FIBWORD_CENSUS_NODES node budget, and lists the words by length, each
+    length in lexicographic order.
     """
     letters = "abcdefghijklmnopqrstuvwxyz"
     if not 1 <= alphabet_size <= len(letters):
@@ -307,10 +304,9 @@ def square_free_words(alphabet_size: int, max_len: int | None = None) -> list[Wo
         max_len = 4
     if max_len < 0:
         raise DomainError("max_len must be nonnegative")
-    found: list[bytes] = []
     budget("CENSUS_NODES")  # a malformed value is refused even when nothing is walked
-    _subtree_counts(alphabet_size, max_len, b"", found)
-    return [Word.from_indices(alphabet, p) for p in found]
+    return [Word._trusted(alphabet, w)
+            for level in _square_free_levels(alphabet_size, max_len, b"") for w in level]
 
 
 # ---------------------------------------------------------------------------

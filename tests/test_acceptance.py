@@ -1,60 +1,20 @@
 """Acceptance gate: one test per end-to-end criterion, one pass/fail line each.
 
 Each criterion lives in fibword.verify with its tolerances and wall-clock
-budget pinned; this module just runs them in order and reports. The same
-checks back the `fibword verify` subcommand, so CI and the CLI agree.
+budget pinned; this module runs every entry of verify.CHECKS in order and
+reports. The same checks back the `fibword verify` subcommand, so CI and the
+CLI agree.
 """
+
+import pytest
 
 from fibword import verify
 
 
-def _run(name: str) -> None:
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_acceptance_check(name):
     result = verify.run_check(name)
     status = "PASS" if result.passed else "FAIL"
     budget = f" (limit {result.limit:.0f}s)" if result.limit else ""
     print(f"[{status}] {name}: {result.detail} [{result.seconds:.2f}s{budget}]")
     assert result.passed, f"{name}: {result.detail}"
-
-
-def test_01_modular_density_examples():
-    _run("modular-density")
-
-
-def test_02_bruteforce_density_agreement():
-    _run("bruteforce-density")
-
-
-def test_03_sturmian_complexity_profile():
-    _run("sturmian-complexity")
-
-
-def test_04_balance_bound():
-    _run("balance-bound")
-
-
-def test_05_golden_density_certificate():
-    _run("golden-density")
-
-
-def test_06_perron_data():
-    _run("perron-data")
-
-
-def test_07_tribonacci_frequencies():
-    _run("tribonacci-frequencies")
-
-
-def test_08_square_free_census():
-    _run("square-free-census")
-
-
-def test_09_factorial_word_prefix_and_coverage():
-    _run("factorial-word")
-
-
-def test_10_delta_roundtrip_and_palindromes():
-    _run("delta-palindromes")
-
-
-def test_11_complexity_sandwich():
-    _run("sandwich-bounds")

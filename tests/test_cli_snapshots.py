@@ -48,6 +48,7 @@ CASES = [
     "squarefree --alphabet-size 3 --n-max 12",
     "squarefree --alphabet-size 2",
     "squarefree --list --alphabet-size 3 --n-max 5",
+    "squarefree --list --alphabet-size 2",
     "delta --apply abcab",
     "delta --factorize abbaba",
     "delta --factorize bb",
@@ -57,7 +58,10 @@ CASES = [
     "frequency --text abab --symbol a",
     "balance --morphism fibonacci --length 1000 --symbol b --target golden --n-max 40 --step 3",
     "golden --n-max 12",
+    "golden --n-max 775",
+    "golden --n-max 777",
     "golden --n-max 800",
+    "golden --n-max 2000",
     "perron --m 3",
     "pisano 1000000",
     "pisano 1000000000000",

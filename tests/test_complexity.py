@@ -748,7 +748,44 @@ def test_walk_by_length_matches_the_recursive_walk(k, n_max):
     listed = [w.data for w in listing]
     assert len(listed) == len(found) and set(listed) == set(found)
     assert [len(w) for w in listed] == sorted(len(w) for w in listed)   # by length
+    assert listed == sorted(found, key=lambda w: (len(w), w))   # then lexicographic
     assert nodes == want_nodes
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Each walk of _square_free_levels, as its prefix length and level sizes."""
+    walks = []
+    real = complexity._square_free_levels
+
+    def spy(k, n_max, prefix):
+        walks.append((len(prefix), []))
+        for level in real(k, n_max, prefix):
+            walks[-1][1].append(len(level))
+            yield level
+
+    monkeypatch.setattr(complexity, "_square_free_levels", spy)
+    return walks
+
+
+@pytest.mark.parametrize("call", (square_free_census, square_free_words))
+@pytest.mark.parametrize("k, n_max", ((1, 0), (2, 1), (2, 8), (3, 2), (3, 12)))
+def test_census_and_listing_walk_the_levels_once(walks, call, k, n_max):
+    call(k, n_max)
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("k, last", ((1, 2), (2, 4)))
+def test_walk_stops_after_the_first_empty_level(walks, k, last):
+    census, nodes = charged_nodes(square_free_census, k, 50)
+    assert (census, nodes) == recursive_census(k, 50)
+    assert census.terminated and len(census.counts) == last + 1
+    listing, nodes = charged_nodes(square_free_words, k, 50)
+    assert nodes == recursive_walk(k, 50, b"")[2]
+    assert max(len(w) for w in listing) == last - 1
+    # the census, then the listing: each walk's levels end at length last, empty
+    assert [start + len(sizes) for start, sizes in walks] == [last, last]
+    assert all(sizes[-1] == 0 and 0 not in sizes[:-1] for _, sizes in walks)
 
 
 @pytest.mark.parametrize("n_max", (2000, 10 ** 8))
