@@ -12,6 +12,7 @@ stdout exits 1 with nothing on stderr.
 import argparse
 import csv
 import dataclasses
+import decimal
 import io
 import json
 import math
@@ -354,18 +355,23 @@ def cmd_golden(args) -> tuple:
                           "digits, the interpreter's limit for printing an integer")
     if args.n_max < 1:
         raise DomainError("n_max must be at least 1")
-    fib = [1, 1]  # F(1), F(2), ..., F(n_max + 1)
+    # F(1), F(2), ..., F(n_max + 1) as Decimals, whose str() is linear in the digits
+    # where an int's is quadratic; at the greatest precision and exponent every sum
+    # is exact, also with the digit limit lifted
+    add = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX).add
+    fib = [decimal.Decimal(1)] * 2
     for _ in range(args.n_max - 1):
-        fib.append(fib[-2] + fib[-1])
+        fib.append(add(fib[-2], fib[-1]))
     # consecutive Fibonacci numbers are coprime, so F(n)/F(n + 1) is printed in
     # lowest terms with each F converted to a string once. |F(n)/F(n + 1) - (phi - 1)|
     # = 1/(phi^(n + 1) F(n + 1)) < 1/F(n + 1)^2 (Binet, with F(n + 1) <= phi^n), so
     # from F(n + 1) >= 2^538 the deviation is below 2^-1076, and golden_deviation's
     # 2^-65 relative error leaves it below half the least subnormal: its float is
     # 0.0, and no Fraction is built there.
+    cutoff = decimal.Decimal(2 ** 538)
     fibs = [str(f) for f in fib]
-    rows = [(n, f"{fibs[n - 1]}/{fibs[n]}", 0.0 if fib[n].bit_length() > 538
-             else float(density.golden_deviation(Fraction(fib[n - 1], fib[n]))))
+    rows = [(n, f"{fibs[n - 1]}/{fibs[n]}", 0.0 if fib[n] >= cutoff
+             else float(density.golden_deviation(Fraction(int(fib[n - 1]), int(fib[n])))))
             for n in range(1, args.n_max + 1)]
     payload = {
         "ratios": [{"n": n, "ratio": r, "deviation": dev} for n, r, dev in rows],
@@ -374,7 +380,7 @@ def cmd_golden(args) -> tuple:
     # the text line prints F(1)/F(2) as "1"; JSON and CSV keep "1/1"
     lines = [f"F({n})/F({n + 1}) = {r.removesuffix('/1')} (off by {dev:.3e})"
              for n, r, dev in rows]
-    certified = density.golden_deviation_below(Fraction(fib[-2], fib[-1]),
+    certified = density.golden_deviation_below(Fraction(int(fib[-2]), int(fib[-1])),
                                                Fraction(1, 10 ** 15))
     payload["last_within_1e15"] = certified
     if certified:

@@ -278,46 +278,41 @@ def _shift(f: np.ndarray, g: np.ndarray, a: int, b: int, m: int) -> np.ndarray:
 
 
 def _base_block(m: int, size: int) -> np.ndarray:
-    """F(-1), F(0), ..., F(size + 1) mod m, built by doubling.
+    """F(-1), F(0), ..., F(size - 1) mod m, built by doubling.
 
-    Its views e[1:] and e[:-1] are F(j) and F(j - 1) for j = 0..size + 1. In
+    Its views e[1:] and e[:-1] are F(j) and F(j - 1) for j = 0..size - 1. In
     uint64 up to _NUMPY_MODULUS, above it in object arrays of Python ints.
     """
     import numpy as np
 
-    e = np.array([1, 0, 1], dtype=np.uint64 if m <= _NUMPY_MODULUS else object)
-    while len(e) < size + 3:
-        a = (int(e[-1]) + int(e[-2])) % m        # F(L) for L = len(e) - 1
-        e = np.concatenate((e, _shift(e[1:], e[:-1], a, (a + int(e[-1])) % m, m)))
-    return e[:size + 3]
+    e = np.array([1, 0], dtype=np.uint64 if m <= _NUMPY_MODULUS else object)
+    while len(e) < size + 1:
+        e = np.concatenate((e, _shift(e[1:], e[:-1], *fib_pair_mod(len(e) - 1, m), m)))
+    return e[:size + 1]
 
 
 def _fib_blocks(m: int, segments: list[tuple[int, int]]):
     """Yield F(start), ..., F(start + steps - 1) mod m in blocks for each index range
     (start, steps) of segments in turn, m >= 2.
 
-    Every segment shifts one base block, min(_BLOCK, longest segment) values long.
-    Blocks are int64 up to m = 2^63 (int64 indexes faster than uint64) and object
-    arrays above.
+    Every block shifts one base block, min(_BLOCK, longest segment) values long,
+    from the pair fast doubling gives at its first index. Blocks are int64 up to
+    m = 2^63 (int64 indexes faster than uint64) and object arrays above.
     """
     import numpy as np
 
-    size = min(_BLOCK, max((steps for _, steps in segments), default=0))
+    size = min(_BLOCK, max((steps for _, steps in segments), default=0)) or 1
     e = _base_block(m, size)
     f, g = e[1:], e[:-1]
     for start, steps in segments:
-        a, b = fib_pair_mod(start, m)
-        while steps > 0:
-            n = min(steps, size)
-            block = _shift(f[:n], g[:n], a, b, m)
+        for s in range(start, start + steps, size):
+            n = min(size, start + steps - s)
+            block = _shift(f[:n], g[:n], *fib_pair_mod(s, m), m)
             if m <= _NUMPY_MODULUS:
                 block = block.view(np.int64)
             elif m <= 2 ** 63:
                 block = block.astype(np.int64)
             yield block
-            a, b = ((int(f[n]) * b + int(g[n]) * a) % m,
-                    (int(f[n + 1]) * b + int(f[n]) * a) % m)
-            steps -= n
 
 
 def _residues(m: int, segments: list[tuple[int, int]]) -> np.ndarray:

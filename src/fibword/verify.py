@@ -154,7 +154,7 @@ def check_square_free_census(seed: int = 0) -> str:
             1 for t in itertools.product(range(3), repeat=n) if not _has_square_naive(t)
         )
         assert counts[n] == filtered, \
-            f"a({n}) = {counts[n]} from backtracking, {filtered} from the filter"
+            f"a({n}) = {counts[n]} from the level walk, {filtered} from the filter"
     for n in range(3, 21):
         lower = 6 * 1.032 ** n
         assert counts[n] >= lower, f"a({n}) = {counts[n]} < 6*1.032^{n} = {lower:.2f}"

@@ -62,6 +62,8 @@ CASES = [
     "golden --n-max 777",
     "golden --n-max 800",
     "golden --n-max 2000",
+    "golden --n-max 20576",
+    "golden --n-max 20577",
     "perron --m 3",
     "pisano 1000000",
     "pisano 1000000000000",

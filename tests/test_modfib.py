@@ -391,12 +391,15 @@ def test_lucas_zeros_and_density_match_walks_for_primes_below_3000():
             assert density_formula(p) == want, p
 
 
-@settings(max_examples=30)
-@given(st.sampled_from([p for p in PRIMES_BELOW_3000 if p not in (2, 5)]))
-def test_object_walk_matches_numpy_walk(p):
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([p for p in PRIMES_BELOW_3000 if p not in (2, 5)]),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 300)), max_size=4))
+def test_object_walk_matches_numpy_walk(p, drawn):
     """Moduli too large for uint64 blocks walk object arrays; force that walk here,
-    then walk segments mod two such moduli, one past 2^63, in blocks of 64 against
-    fib_mod. Every segment, empty ones included, shifts the same base block."""
+    then walk fixed and drawn segments in blocks of 64 against fib_mod, mod one
+    modulus in each block regime: uint64 viewed as int64, object converted to int64
+    past _NUMPY_MODULUS, object past 2^63. Every segment, empty ones included,
+    shifts the same base block, and every block starts from fast doubling."""
     want = density_formula(p), residue_density_bruteforce(p, 1)
     original = modfib._NUMPY_MODULUS, modfib._BLOCK
     modfib._NUMPY_MODULUS = 1
@@ -404,15 +407,18 @@ def test_object_walk_matches_numpy_walk(p):
         assert (density_formula(p), residue_density_bruteforce(p, 1)) == want
         modfib._NUMPY_MODULUS, modfib._BLOCK = original[0], 64
         start = p ** 3
-        segments = [(0, 0), (start, 200), (p, 0), (start + p, 70), (p, 64), (3 * p, 1)]
-        for m, dtype in ((2 ** 63 - p, np.int64), (2 ** 64 + p, object)):
-            assert original[0] < m
-            blocks = list(modfib._fib_blocks(m, segments))
-            assert [len(block) for block in blocks] == [64, 64, 64, 8, 64, 6, 64, 1]
-            assert all(block.dtype == dtype for block in blocks)
-            assert [int(v) for v in np.concatenate(blocks)] == \
-                [fib_mod(i, m) for first, steps in segments
-                 for i in range(first, first + steps)]
+        fixed = [(0, 0), (start, 200), (p, 0), (start + p, 70), (p, 64), (3 * p, 1)]
+        moduli = original[0] - p, 2 ** 63 - p, 2 ** 64 + p
+        assert moduli[0] <= original[0] < moduli[1] <= 2 ** 63 < moduli[2]
+        for m, dtype in zip(moduli, (np.int64, np.int64, object)):
+            for segments in (fixed, drawn):
+                blocks = list(modfib._fib_blocks(m, segments))
+                assert all(block.dtype == dtype for block in blocks)
+                assert [int(v) for block in blocks for v in block] == \
+                    [fib_mod(i, m) for first, steps in segments
+                     for i in range(first, first + steps)]
+            assert [len(block) for block in modfib._fib_blocks(m, fixed)] == \
+                [64, 64, 64, 8, 64, 6, 64, 1]
             assert list(modfib._fib_blocks(m, [(start, 0), (p, 0)])) == []
     finally:
         modfib._NUMPY_MODULUS, modfib._BLOCK = original
