@@ -10,10 +10,7 @@ stdout exits 1 with nothing on stderr.
 """
 
 import argparse
-import csv
-import dataclasses
 import decimal
-import io
 import json
 import math
 import os
@@ -21,7 +18,8 @@ import re
 import sys
 from fractions import Fraction
 
-from . import complexity, density, factorial_word, modfib, words
+# each handler imports the library modules it runs, so a request loads only
+# those: without a bytecode cache every module is compiled on each start
 from .errors import BudgetError, DomainError
 
 EXIT_OK = 0
@@ -66,6 +64,9 @@ def _emit(fmt: str, payload: dict, text_lines, csv_rows=None) -> None:
     if fmt == "json":
         print(json.dumps(_plain(payload), sort_keys=True))
     elif fmt == "csv":
+        import csv
+        import io
+
         if csv_rows is None:
             csv_rows = [("key", "value")]
             csv_rows += [(k, _csv_cell(_plain(v))) for k, v in sorted(payload.items())
@@ -90,7 +91,9 @@ def _fail(kind: str, message: str) -> None:
 # word sources
 
 
-def _resolve_morphism(spec: str) -> words.Morphism:
+def _resolve_morphism(spec: str):
+    from . import words
+
     if "->" in spec:
         return words.Morphism.from_rules(spec)
     name, _, arg = spec.partition(":")
@@ -133,12 +136,16 @@ def _add_word_source(sp) -> None:
 
 def _fixed_point(spec: str, seed_symbol: str | None, length: int):
     """(morphism, seed, prefix) for --morphism, --seed-symbol and --length."""
+    from . import words
+
     morph = _resolve_morphism(spec)
     seed = seed_symbol or morph.source.label(0)
     return morph, seed, words.fixed_point_prefix(morph, seed, length)
 
 
-def _resolve_word(args) -> words.Word:
+def _resolve_word(args):
+    from . import words
+
     if args.text is not None and args.morphism is not None:
         raise UsageError("pass --text or --morphism, not both")
     if args.text is not None:
@@ -152,6 +159,8 @@ def _resolve_word(args) -> words.Word:
 
 
 def _parse_target(text: str) -> float:
+    from . import density
+
     named = {
         # frequency of the rare letter 'b' in the fixed point of a->ab, b->a
         "golden": density.RARE_LETTER_TARGET,
@@ -186,17 +195,20 @@ def cmd_generate(args) -> tuple:
     return payload, [str(w)]
 
 
-# subcommand -> (profile function, letter naming the profile in text output)
+# subcommand -> (profile function in complexity, letter naming the profile in
+# text output)
 _PROFILES = {
-    "complexity": (complexity.factor_complexity, "p"),
-    "arithmetic": (complexity.arithmetic_complexity, "a"),
+    "complexity": ("factor_complexity", "p"),
+    "arithmetic": ("arithmetic_complexity", "a"),
 }
 
 
 def cmd_profile(args) -> tuple:
+    from . import complexity
+
     profile_of, letter = _PROFILES[args.command]
     w = _resolve_word(args)
-    profile = profile_of(w, args.n_max)
+    profile = getattr(complexity, profile_of)(w, args.n_max)
     rows = profile.rows()
     payload = {
         "kind": profile.kind,
@@ -209,6 +221,8 @@ def cmd_profile(args) -> tuple:
 
 
 def cmd_sturmian(args) -> tuple:
+    from . import complexity
+
     w = _resolve_word(args)
     profile = complexity.factor_complexity(w, args.n_max)
     ok = complexity.is_sturmian_profile(profile)
@@ -222,6 +236,8 @@ def cmd_sturmian(args) -> tuple:
 
 
 def cmd_squarefree(args) -> tuple:
+    from . import complexity, words
+
     if args.test is not None:
         if args.n_max is not None or args.alphabet_size is not None:
             raise UsageError("--test checks one word; it takes no --n-max or --alphabet-size")
@@ -253,24 +269,28 @@ def cmd_squarefree(args) -> tuple:
     return payload, lines, [("n", "count")] + rows
 
 
-# direction -> (alphabet of the input, map)
+# direction -> (alphabet of the input in words, map in complexity)
 _DELTA = {
-    "apply": (words.ternary_alphabet, complexity.delta_apply),
-    "factorize": (words.binary_alphabet, complexity.delta_factorize),
+    "apply": ("ternary_alphabet", "delta_apply"),
+    "factorize": ("binary_alphabet", "delta_factorize"),
 }
 
 
 def cmd_delta(args) -> tuple:
+    from . import complexity, words
+
     if (args.apply is None) == (args.factorize is None):
         raise UsageError("pass exactly one of --apply or --factorize")
     direction = "apply" if args.factorize is None else "factorize"
     alphabet, delta = _DELTA[direction]
-    w = words.Word.from_string(getattr(args, direction), alphabet())
-    output = str(delta(w))
+    w = words.Word.from_string(getattr(args, direction), getattr(words, alphabet)())
+    output = str(getattr(complexity, delta)(w))
     return {"direction": direction, "input": str(w), "output": output}, [output]
 
 
 def cmd_palindromes(args) -> tuple:
+    from . import complexity
+
     w = _resolve_word(args)
     # the scattered count checks its length budget, so an over-budget word
     # is refused before any factor counting
@@ -295,6 +315,8 @@ def cmd_palindromes(args) -> tuple:
 
 
 def cmd_frequency(args) -> tuple:
+    from . import density
+
     w = _resolve_word(args)
     target = _parse_target(args.target) if args.target is not None else None
     report = density.frequency_report(w, args.symbol, window=args.window, target=target)
@@ -319,6 +341,8 @@ def cmd_frequency(args) -> tuple:
 
 
 def cmd_balance(args) -> tuple:
+    from . import density
+
     if args.step < 1:
         raise UsageError(f"--step must be at least 1, got {args.step}")
     w = _resolve_word(args)
@@ -345,6 +369,8 @@ def cmd_balance(args) -> tuple:
 
 
 def cmd_golden(args) -> tuple:
+    from . import density, modfib
+
     # the largest number printed is F(n_max + 1), and str() refuses an int of more
     # digits than the interpreter's limit (0 for none; Pythons before 3.10.7 have
     # none); F(n + 1) >= 10^limit once n >= 5 limit, so F is only evaluated below that
@@ -390,6 +416,10 @@ def cmd_golden(args) -> tuple:
 
 
 def cmd_perron(args) -> tuple:
+    import dataclasses
+
+    from . import density
+
     data = density.perron_eigenvalue(args.m)
     payload = dataclasses.asdict(data)
     lo, hi = data.bracket
@@ -406,12 +436,16 @@ def cmd_perron(args) -> tuple:
 
 
 def cmd_pisano(args) -> tuple:
+    from . import modfib
+
     period = modfib.pisano_period(args.modulus)
     payload = {"modulus": args.modulus, "period": period}
     return payload, [str(period)]
 
 
 def cmd_lucaszeros(args) -> tuple:
+    from . import modfib
+
     if not modfib.is_prime(args.prime):
         raise DomainError(f"{args.prime} is not prime")
     period, _, zeros = modfib._periods(args.prime)
@@ -426,6 +460,8 @@ def cmd_lucaszeros(args) -> tuple:
 
 
 def cmd_density(args) -> tuple:
+    from . import modfib
+
     res = modfib.density_formula(args.prime)
     ctx = res.context
     payload = {
@@ -451,6 +487,8 @@ def cmd_density(args) -> tuple:
 
 
 def cmd_densbrute(args) -> tuple:
+    from . import modfib
+
     trace = modfib.bruteforce_trace(args.prime, args.max_level)
     payload = {
         "prime": args.prime,
@@ -462,6 +500,8 @@ def cmd_densbrute(args) -> tuple:
 
 
 def cmd_fword(args) -> tuple:
+    from . import factorial_word
+
     payload = {"base": args.base}
     lines = []
     if args.blocks is not None:
@@ -508,6 +548,8 @@ def cmd_fword(args) -> tuple:
 
 
 def cmd_leading(args) -> tuple:
+    from . import factorial_word
+
     n = factorial_word.leading_digits_search(args.base, args.target, args.n_budget)
     payload = {
         "base": args.base,
@@ -524,6 +566,8 @@ def cmd_leading(args) -> tuple:
 
 
 def cmd_weyl(args) -> tuple:
+    from . import factorial_word
+
     report = factorial_word.logfactorial_equidistribution(
         args.base, args.n_max, frequency=args.frequency, bins=args.bins
     )

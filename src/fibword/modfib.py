@@ -63,11 +63,6 @@ def fib_mod(n: int, m: int) -> int:
     return fib_pair_mod(n, m)[0]
 
 
-def lucas_mod(n: int, m: int) -> int:
-    a, b = fib_pair_mod(n, m)
-    return (2 * b - a) % m
-
-
 # ---------------------------------------------------------------------------
 # primality and factoring
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -796,10 +797,24 @@ def test_conflicting_word_sources(capsys):
     assert json.loads(err)["kind"] == "usage"
 
 
+COMMANDS = ["generate", "complexity", "arithmetic", "sturmian", "squarefree", "delta",
+            "palindromes", "frequency", "balance", "golden", "perron", "pisano",
+            "lucaszeros", "density", "densbrute", "fword", "leading", "weyl", "verify"]
+
+
 def test_help_exits_zero(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
     assert "COMMAND" in out
+    # the subcommands are listed one a line, in the order build_parser declares them
+    assert re.findall(r"^    (\w+)", out, re.M) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_help_exits_zero(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: fibword {command} ")
 
 
 def test_json_output_is_deterministic(capsys):
@@ -884,10 +899,51 @@ def test_cli_import_starts_no_process_pool():
 
 
 def test_cli_import_loads_no_numpy():
-    """numpy is imported by the functions that use it, not by any module."""
-    probe = ("import sys; import fibword; a = 'numpy' in sys.modules; "
-             "import fibword.cli; print(a, 'numpy' in sys.modules)")
-    assert _probe(probe).split() == ["False", "False"]
+    """numpy is imported by the functions that use it, not by any module.
+
+    Neither import loads a library module besides the errors the CLI reports.
+    """
+    probe = (
+        "import json, sys\n"
+        "mods = lambda: ['numpy' in sys.modules, sorted(m for m in sys.modules "
+        "if m.startswith('fibword'))]\n"
+        "import fibword\n"
+        "a = mods()\n"
+        "import fibword.cli\n"
+        "print(json.dumps([a, mods()]))\n"
+    )
+    assert json.loads(_probe(probe)) == [
+        [False, ["fibword"]],
+        [False, ["fibword", "fibword.cli", "fibword.errors"]],
+    ]
+
+
+LIBRARY = {"fibword.complexity", "fibword.density", "fibword.factorial_word",
+           "fibword.modfib", "fibword.verify", "fibword.words"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["pisano", "7"], {"fibword.modfib"}),
+    (["lucaszeros", "7"], {"fibword.modfib"}),
+    (["generate", "--morphism", "fibonacci", "--length", "50"], {"fibword.words"}),
+    (["delta", "--apply", "abc"], {"fibword.complexity", "fibword.words"}),
+    (["fword", "--digits", "10"], {"fibword.factorial_word", "fibword.words"}),
+])
+def test_each_request_imports_only_the_modules_it_runs(argv, loaded):
+    """One fresh interpreter per request; generate loads no dataclasses either."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from fibword import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('fibword.')), "
+        "'dataclasses' in sys.modules]))\n"
+    )
+    code, modules, dataclasses = json.loads(_probe(probe))
+    assert code == 0
+    assert LIBRARY.intersection(modules) == loaded
+    if argv[0] == "generate":
+        assert not dataclasses
 
 
 def test_numpy_free_commands_do_not_import_numpy():

@@ -24,7 +24,6 @@ from fibword import (
     fib_pair_mod,
     is_prime,
     lucas,
-    lucas_mod,
     lucas_zeros,
     modfib,
     pisano_period,
@@ -43,6 +42,12 @@ def fib_iterative(n):
 
 # ---------------------------------------------------------------------------
 # oracles: the period walks and the trial division the library used to run
+
+
+def lucas_mod(n, m):
+    """L(n) mod m = 2 F(n+1) - F(n) mod m, from fast doubling mod m."""
+    a, b = fib_pair_mod(n, m)
+    return (2 * b - a) % m
 
 
 def pisano_walk(m):
