@@ -53,21 +53,60 @@ def factor_complexity(w: Word, n_max: int) -> ComplexityProfile:
 
 _ARITH_MAXLEN = 4096  # the records of the L^2 / 2 pairs peak at about 19 bytes each
 _NAME_TABLE_CELLS = 1 << 22  # _rename ranks codes through a table of at most this size
+_CHUNK = 1 << 14  # indices cast to intp at a time, small enough to stay in cache
 
 
-def _rename(code: "np.ndarray", cells: int) -> "tuple[np.ndarray, int]":
-    """Dense int32 ranks 1, 2, ... of codes in 0..cells - 1, in code order, and their count."""
+def _rename(code: "np.ndarray", cells: int, pad: int = 0) -> "tuple[np.ndarray, int]":
+    """Dense ranks 1, 2, ... of codes in 0..cells - 1, in code order, then pad zeros.
+
+    Returns them with their count. They are uint16 when the count fits in 16
+    bits, int32 otherwise.
+    """
     import numpy as np
 
+    L = len(code)
     # the table costs O(cells) and the sort O(len(code) log len(code)); they
     # break even near 8 cells a code
-    if cells <= min(_NAME_TABLE_CELLS, 8 * len(code) + 256):
+    if cells <= min(_NAME_TABLE_CELLS, 8 * L + 256):
+        # the codes go to intp one chunk at a time, as in _take
         seen = np.zeros(cells, dtype=bool)
-        seen[code] = True
-        rank = np.cumsum(seen, dtype=np.int32)
-        return rank[code], int(rank[-1])
+        for i in range(0, L, _CHUNK):
+            seen[code[i:i + _CHUNK].astype(np.intp)] = True
+        count = int(np.count_nonzero(seen))
+        rank = np.cumsum(seen, dtype=_name_type(count))
+        del seen
+        names = np.zeros(L + pad, dtype=rank.dtype)
+        # every code is in range: the scatter raised IndexError on any code >= cells
+        _take(rank, code, names[:L])
+        return names, count
     distinct, inverse = np.unique(code, return_inverse=True)
-    return (inverse + 1).astype(np.int32), len(distinct)
+    names = np.zeros(L + pad, dtype=_name_type(len(distinct)))
+    np.add(inverse, 1, out=names[:L], casting="unsafe")
+    return names, len(distinct)
+
+
+def _take(table: "np.ndarray", index: "np.ndarray",
+          out: "np.ndarray | None" = None) -> "np.ndarray":
+    """table[index], into out if given, for indices already known to be in range.
+
+    numpy indexes through a slow buffered path unless the indices are intp,
+    so they are cast one cache-sized chunk at a time, and mode="clip" skips
+    the bounds check.
+    """
+    import numpy as np
+
+    if out is None:
+        out = np.empty(len(index), dtype=table.dtype)
+    for i in range(0, len(index), _CHUNK):
+        np.take(table, index[i:i + _CHUNK].astype(np.intp), out=out[i:i + _CHUNK], mode="clip")
+    return out
+
+
+def _name_type(count: int) -> type:
+    """uint16 when the names 1..count fit in it, else int32."""
+    import numpy as np
+
+    return np.uint16 if count < 2 ** 16 else np.int32
 
 
 def _code_type(cells: int) -> type:
@@ -85,8 +124,7 @@ def _factor_counts(data: bytes, n_max: int) -> list[int]:
     # name[i] ranks w[i:i + h], cut off at L, among these words from 1 up; the
     # name past the end, name[L], is 0 for the empty word. K is one more than
     # the largest name, and names are kept in 16 bits while they fit.
-    name = np.zeros(L + 1, dtype=np.uint16)
-    name[:L], K = _rename(np.frombuffer(data, dtype=np.uint8), 256)
+    name, K = _rename(np.frombuffer(data, dtype=np.uint8), 256, 1)
     K += 1
     levels = []  # the names for h = 1, 2, 4, ...
     h = 1
@@ -98,17 +136,16 @@ def _factor_counts(data: bytes, n_max: int) -> list[int]:
         code = name[:L].astype(_code_type(K * K))
         code *= K
         code[: L - shift + 1] += name[shift:]
-        names, K = _rename(code, K * K)
+        name, K = _rename(code, K * K, 1)
         del code
-        name = np.zeros(L + 1, dtype=np.uint16 if K < 2 ** 16 else np.int32)
-        name[:L] = names
-        del names
         K += 1
         h += shift
     # one position per name: the distinct windows of length n_max (fewer at
     # the end of w), in lexicographic order
     rep = np.empty(K, dtype=np.int32)
-    rep[name[:L]] = np.arange(L, dtype=np.int32)
+    for i in range(0, L, _CHUNK):
+        j = min(i + _CHUNK, L)
+        rep[name[i:j].astype(np.intp)] = np.arange(i, j, dtype=np.int32)
     del name
     rep = rep[1:]
     # adjacent windows differ, so their common prefix is no longer than the
@@ -155,7 +192,7 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
     last = np.arange(len(step), dtype=np.int32)
     last -= np.repeat(np.cumsum(pairs, dtype=np.int32) - pairs, pairs)
     del pairs
-    name = symbols[last]  # the one-symbol words i, named by their symbol
+    name = _take(symbols, last)  # the one-symbol words i, named by their symbol
     K = k  # one more than the largest name
     for _ in range(2, n_max + 1):
         last += step
@@ -163,7 +200,7 @@ def arithmetic_complexity(w: Word, n_max: int) -> ComplexityProfile:
         step, last, name = step[fits], last[fits], name[fits]
         code = name.astype(_code_type(K * k))
         code *= k
-        code += symbols[last]
+        code += _take(symbols, last)
         name, count = _rename(code, K * k)
         del code
         K = count + 1

@@ -11,8 +11,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import complexity, density, factorial_word, modfib, words
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -42,6 +40,8 @@ BIGRAM_FULL_COVERAGE_DIGITS = 608
 
 
 def check_modular_density(seed: int = 0) -> str:
+    from . import modfib
+
     parts = []
     for p, dens, per, alpha, zeros, n_count, z_count in _DENSITY_TABLE:
         t0 = time.perf_counter()
@@ -61,6 +61,8 @@ def check_modular_density(seed: int = 0) -> str:
 
 
 def check_bruteforce_density(seed: int = 0) -> str:
+    from . import modfib
+
     got = modfib.residue_density_bruteforce(19, 1)
     assert got == Fraction(12, 19), f"brute dens(19, 1) = {got}"
     got = modfib.residue_density_bruteforce(19, 2)
@@ -72,6 +74,8 @@ def check_bruteforce_density(seed: int = 0) -> str:
 
 
 def check_sturmian_complexity(seed: int = 0) -> str:
+    from . import complexity, words
+
     w = words.fixed_point_prefix(words.fibonacci_morphism(), "a", 20_000)
     profile = complexity.factor_complexity(w, 200)
     bad = [n for n in range(1, 201) if profile.count(n) != n + 1]
@@ -85,6 +89,8 @@ def check_sturmian_complexity(seed: int = 0) -> str:
 
 
 def check_balance_bound(seed: int = 0) -> str:
+    from . import density, words
+
     w = words.fixed_point_prefix(words.fibonacci_morphism(), "a", 100_000)
     report = density.balance_check(w, "b", density.RARE_LETTER_TARGET, range(10, 1001))
     margin = min(1.0 / n - dev for n, dev, _ in report.rows)
@@ -93,6 +99,8 @@ def check_balance_bound(seed: int = 0) -> str:
 
 
 def check_golden_density(seed: int = 0) -> str:
+    from . import density
+
     d = density.fibonacci_ratio(40)
     assert density.golden_deviation_below(d, Fraction(1, 10**15)), \
         f"|F(40)/F(41) - (phi-1)| not certified below 1e-15 for {d}"
@@ -101,6 +109,8 @@ def check_golden_density(seed: int = 0) -> str:
 
 
 def check_perron_data(seed: int = 0) -> str:
+    from . import density, words
+
     for m in range(2, 9):
         data = density.perron_eigenvalue(m)
         lo, hi = data.bracket
@@ -121,6 +131,8 @@ def check_perron_data(seed: int = 0) -> str:
 
 
 def check_tribonacci_frequencies(seed: int = 0) -> str:
+    from . import density, words
+
     w = words.fixed_point_prefix(words.tribonacci_morphism(), "a", 100_000)
     tau = density.perron_eigenvalue(3).rho
     worst = 0.0
@@ -141,6 +153,8 @@ def _has_square_naive(t: tuple) -> bool:
 
 
 def check_square_free_census(seed: int = 0) -> str:
+    from . import complexity
+
     counts = complexity.square_free_census(3, 20).counts
     assert len(counts) == len(_TERNARY_SQUARE_FREE), \
         f"census stopped at n = {len(counts) - 1}, expected n = 20"
@@ -174,6 +188,8 @@ def check_square_free_census(seed: int = 0) -> str:
 
 
 def check_factorial_word(seed: int = 0) -> str:
+    from . import factorial_word
+
     prefix = factorial_word.factorial_word_prefix(10, 21)
     assert str(prefix) == FACTORIAL_PREFIX_21, str(prefix)
     budget = BIGRAM_FULL_COVERAGE_DIGITS
@@ -192,6 +208,8 @@ def check_factorial_word(seed: int = 0) -> str:
 
 
 def check_delta_palindromes(seed: int = 0) -> str:
+    from . import complexity, words
+
     rng = random.Random(seed)
     ternary = words.ternary_alphabet()
     worst_ratio = None
@@ -224,6 +242,8 @@ def _arith_oracle(data: bytes, n: int) -> int:
 
 
 def check_sandwich_bounds(seed: int = 0) -> str:
+    from . import complexity, words
+
     rng = random.Random(seed)
     for trial in range(500):
         k = rng.choice((2, 3))

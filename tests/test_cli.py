@@ -928,6 +928,8 @@ LIBRARY = {"fibword.complexity", "fibword.density", "fibword.factorial_word",
     (["generate", "--morphism", "fibonacci", "--length", "50"], {"fibword.words"}),
     (["delta", "--apply", "abc"], {"fibword.complexity", "fibword.words"}),
     (["fword", "--digits", "10"], {"fibword.factorial_word", "fibword.words"}),
+    (["verify", "--only", "golden-density"],
+     {"fibword.density", "fibword.modfib", "fibword.verify", "fibword.words"}),
 ])
 def test_each_request_imports_only_the_modules_it_runs(argv, loaded):
     """One fresh interpreter per request; generate loads no dataclasses either."""

@@ -230,6 +230,9 @@ def test_factor_complexity_with_every_rename_sorted(data):
     assert tuple(counts) == windows_oracle(data, len(data))
 
 
+CHUNK = complexity._CHUNK
+
+
 @pytest.mark.parametrize("cells, size, table", [
     (2, 5000, True),
     (256, 1, True),
@@ -238,17 +241,62 @@ def test_factor_complexity_with_every_rename_sorted(data):
     (2 ** 22, 2 ** 19, True),  # the cap
     (2 ** 22 + 1, 2 ** 19, False),
     (2 ** 40, 5000, False),
+    # one code short of a chunk, one chunk, one code over, and a last partial chunk
+    *[(size, size, True) for size in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)],
+    *[(2 ** 40, size, False) for size in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)],
 ])
-def test_rename_is_a_dense_rank(cells, size, table):
-    rng = np.random.default_rng(cells)
+@pytest.mark.parametrize("pad", [0, 1])
+def test_rename_is_a_dense_rank(cells, size, table, pad):
+    rng = np.random.default_rng(cells + size)
     code = rng.integers(0, cells, size=size).astype(np.int32 if cells <= 2 ** 31 else np.int64)
     with mock.patch.object(np, "unique", wraps=np.unique) as sorts:
-        names, count = complexity._rename(code, cells)
+        names, count = complexity._rename(code, cells, pad)
     assert sorts.called != table
     distinct, inverse = np.unique(code, return_inverse=True)
-    assert names.dtype == np.int32
+    assert names.dtype == (np.uint16 if count < 2 ** 16 else np.int32)
     assert count == len(distinct)
-    assert names.tolist() == (inverse + 1).tolist()
+    assert names.tolist() == (inverse + 1).tolist() + [0] * pad
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_rename_keeps_names_in_16_bits_while_they_fit(table):
+    rng = np.random.default_rng(16)
+    for count, dtype in ((2 ** 16 - 1, np.uint16), (2 ** 16, np.int32)):
+        code = rng.permutation(count).astype(np.int32)
+        with mock.patch.object(complexity, "_NAME_TABLE_CELLS", count if table else 0):
+            names, got = complexity._rename(code, count, 1)
+        assert (got, names.dtype) == (count, dtype)
+        assert names.tolist() == (code + 1).tolist() + [0]
+
+
+@pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, 3 * CHUNK + 4])
+def test_rename_refuses_a_code_past_the_table(at):
+    # the table ranks through mode="clip" gathers, so the scatter before them
+    # must refuse any code >= cells, in whichever chunk it falls
+    code = np.zeros(3 * CHUNK + 5, dtype=np.int32)
+    code[at] = 3 * CHUNK + 5
+    with mock.patch.object(np, "unique", wraps=np.unique) as sorts, \
+            pytest.raises(IndexError):
+        complexity._rename(code, 3 * CHUNK + 5)
+    assert not sorts.called
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.sampled_from((1, 2, 3, 4)), sort=st.booleans(), data=st.data())
+def test_profiles_across_many_chunks(k, sort, data):
+    # chunks of 7 indices split these short words into many chunks, the last
+    # one partial, in every scatter and gather of both profiles
+    symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=40),
+                        label="symbols")
+    w = Word.from_indices(Alphabet("abcd"[:k]), symbols)
+    n_max = data.draw(st.integers(1, len(w)), label="n_max")
+    cells = 0 if sort else complexity._NAME_TABLE_CELLS
+    with mock.patch.object(complexity, "_CHUNK", 7), \
+            mock.patch.object(complexity, "_NAME_TABLE_CELLS", cells):
+        factor = factor_complexity(w, n_max).counts
+        arith = arithmetic_complexity(w, n_max).counts
+    assert factor == windows_oracle(w.data, n_max)
+    assert arith == tuple(arithmetic_oracle(w.data, n) for n in range(1, n_max + 1))
 
 
 def test_factor_complexity_memory_on_a_short_wide_word():
