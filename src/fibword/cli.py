@@ -149,7 +149,8 @@ def _resolve_word(args):
     if args.text is not None and args.morphism is not None:
         raise UsageError("pass --text or --morphism, not both")
     if args.text is not None:
-        labels = args.alphabet or "".join(sorted(set(args.text)))
+        # an empty word falls back to the alphabet "a", as squarefree --test does
+        labels = args.alphabet or "".join(sorted(set(args.text))) or "a"
         return words.Word.from_string(args.text, words.Alphabet(labels))
     if args.morphism is not None:
         if args.length is None:
@@ -186,29 +187,24 @@ def _parse_target(text: str) -> float:
 
 def cmd_generate(args) -> tuple:
     morph, seed, w = _fixed_point(args.morphism, args.seed_symbol, args.length)
+    text = str(w)
     payload = {
-        "word": str(w),
+        "word": text,
         "length": len(w),
         "morphism": morph.rules_text(),
         "seed_symbol": seed,
     }
-    return payload, [str(w)]
-
-
-# subcommand -> (profile function in complexity, letter naming the profile in
-# text output)
-_PROFILES = {
-    "complexity": ("factor_complexity", "p"),
-    "arithmetic": ("arithmetic_complexity", "a"),
-}
+    return payload, [text]
 
 
 def cmd_profile(args) -> tuple:
     from . import complexity
 
-    profile_of, letter = _PROFILES[args.command]
     w = _resolve_word(args)
-    profile = getattr(complexity, profile_of)(w, args.n_max)
+    if args.command == "complexity":
+        profile, letter = complexity.factor_complexity(w, args.n_max), "p"
+    else:
+        profile, letter = complexity.arithmetic_complexity(w, args.n_max), "a"
     rows = profile.rows()
     payload = {
         "kind": profile.kind,
@@ -269,22 +265,17 @@ def cmd_squarefree(args) -> tuple:
     return payload, lines, [("n", "count")] + rows
 
 
-# direction -> (alphabet of the input in words, map in complexity)
-_DELTA = {
-    "apply": ("ternary_alphabet", "delta_apply"),
-    "factorize": ("binary_alphabet", "delta_factorize"),
-}
-
-
 def cmd_delta(args) -> tuple:
     from . import complexity, words
 
     if (args.apply is None) == (args.factorize is None):
         raise UsageError("pass exactly one of --apply or --factorize")
-    direction = "apply" if args.factorize is None else "factorize"
-    alphabet, delta = _DELTA[direction]
-    w = words.Word.from_string(getattr(args, direction), getattr(words, alphabet)())
-    output = str(getattr(complexity, delta)(w))
+    if args.factorize is None:
+        w = words.Word.from_string(args.apply, words.ternary_alphabet())
+        direction, output = "apply", str(complexity.delta_apply(w))
+    else:
+        w = words.Word.from_string(args.factorize, words.binary_alphabet())
+        direction, output = "factorize", str(complexity.delta_factorize(w))
     return {"direction": direction, "input": str(w), "output": output}, [output]
 
 
@@ -371,9 +362,10 @@ def cmd_balance(args) -> tuple:
 def cmd_golden(args) -> tuple:
     from . import density, modfib
 
-    # the largest number printed is F(n_max + 1), and str() refuses an int of more
-    # digits than the interpreter's limit (0 for none; Pythons before 3.10.7 have
-    # none); F(n + 1) >= 10^limit once n >= 5 limit, so F is only evaluated below that
+    # the largest number printed is F(n_max + 1), as a Decimal, whose str() has no
+    # digit limit; the interpreter's limit on an int's digits (0 for none; Pythons
+    # before 3.10.7 have none) is kept only as golden's size bound. F(n + 1) >=
+    # 10^limit once n >= 5 limit, so F is only evaluated below that
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit and args.n_max > 0 and (args.n_max >= 5 * limit
                                      or modfib.fib(args.n_max + 1) >= 10 ** limit):
@@ -381,13 +373,10 @@ def cmd_golden(args) -> tuple:
                           "digits, the interpreter's limit for printing an integer")
     if args.n_max < 1:
         raise DomainError("n_max must be at least 1")
-    # F(1), F(2), ..., F(n_max + 1) as Decimals, whose str() is linear in the digits
-    # where an int's is quadratic; at the greatest precision and exponent every sum
-    # is exact, also with the digit limit lifted
+    # (F(n), F(n + 1)) as Decimals, whose str() is linear in the digits where an
+    # int's is quadratic; at the greatest precision and exponent every sum is exact,
+    # also with the digit limit lifted
     add = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX).add
-    fib = [decimal.Decimal(1)] * 2
-    for _ in range(args.n_max - 1):
-        fib.append(add(fib[-2], fib[-1]))
     # consecutive Fibonacci numbers are coprime, so F(n)/F(n + 1) is printed in
     # lowest terms with each F converted to a string once. |F(n)/F(n + 1) - (phi - 1)|
     # = 1/(phi^(n + 1) F(n + 1)) < 1/F(n + 1)^2 (Binet, with F(n + 1) <= phi^n), so
@@ -395,10 +384,14 @@ def cmd_golden(args) -> tuple:
     # 2^-65 relative error leaves it below half the least subnormal: its float is
     # 0.0, and no Fraction is built there.
     cutoff = decimal.Decimal(2 ** 538)
-    fibs = [str(f) for f in fib]
-    rows = [(n, f"{fibs[n - 1]}/{fibs[n]}", 0.0 if fib[n] >= cutoff
-             else float(density.golden_deviation(Fraction(int(fib[n - 1]), int(fib[n])))))
-            for n in range(1, args.n_max + 1)]
+    f, f_next, text = decimal.Decimal(0), decimal.Decimal(1), "1"  # F(0), F(1), str(F(1))
+    rows = []
+    for n in range(1, args.n_max + 1):
+        f, f_next = f_next, add(f, f_next)
+        text_next = str(f_next)
+        rows.append((n, f"{text}/{text_next}", 0.0 if f_next >= cutoff
+                     else float(density.golden_deviation(Fraction(int(f), int(f_next))))))
+        text = text_next
     payload = {
         "ratios": [{"n": n, "ratio": r, "deviation": dev} for n, r, dev in rows],
         "tolerance": 1e-15,
@@ -406,7 +399,7 @@ def cmd_golden(args) -> tuple:
     # the text line prints F(1)/F(2) as "1"; JSON and CSV keep "1/1"
     lines = [f"F({n})/F({n + 1}) = {r.removesuffix('/1')} (off by {dev:.3e})"
              for n, r, dev in rows]
-    certified = density.golden_deviation_below(Fraction(int(fib[-2]), int(fib[-1])),
+    certified = density.golden_deviation_below(Fraction(int(f), int(f_next)),
                                                Fraction(1, 10 ** 15))
     payload["last_within_1e15"] = certified
     if certified:
@@ -541,9 +534,9 @@ def cmd_fword(args) -> tuple:
     else:
         if args.digits is None:
             raise UsageError("give --digits for a prefix, or --find/--coverage")
-        prefix = factorial_word.factorial_word_prefix(args.base, args.digits)
-        payload.update({"digits": args.digits, "prefix": str(prefix)})
-        lines.append(str(prefix))
+        prefix = str(factorial_word.factorial_word_prefix(args.base, args.digits))
+        payload.update({"digits": args.digits, "prefix": prefix})
+        lines.append(prefix)
     return payload, lines
 
 

@@ -144,14 +144,15 @@ class Word:
         return self.to_string()
 
     def __repr__(self) -> str:
-        text = self.to_string()
+        text = self[:41].to_string()
         if len(text) > 40:
             text = text[:37] + "..."
         return f"Word({text!r})"
 
     def to_string(self) -> str:
-        labels = self.alphabet.labels
-        return "".join(labels[i] for i in self.data)
+        # every index is below len(alphabet), so translate maps each one; latin-1
+        # decodes byte i to code point i, and the label tuple is the table
+        return self.data.decode("latin-1").translate(self.alphabet.labels)
 
     def count(self, symbol: "int | str") -> int:
         return self.data.count(self.alphabet.as_index(symbol))

@@ -499,6 +499,15 @@ def test_verify_failing_check_prints_its_payload_and_exits_one(capsys, monkeypat
         ("always-fails", False, "always fails")]
 
 
+def test_verify_check_past_its_limit_fails(monkeypatch):
+    """A check that passes but takes longer than its limit is reported as failed."""
+    func, _ = verify.CHECKS["perron-data"]
+    monkeypatch.setitem(verify.CHECKS, "perron-data", (func, 0))
+    result = verify.run_check("perron-data")
+    assert result.passed is False and result.limit == 0
+    assert re.fullmatch(r".+ \[exceeded 0s budget: took \d+\.\ds\]", result.detail)
+
+
 def test_verify_unknown_check(capsys):
     code, out, err = run(capsys, "verify", "--only", "nonsense")
     assert code == 1
@@ -795,6 +804,57 @@ def test_conflicting_word_sources(capsys):
     )
     assert code == 1
     assert json.loads(err)["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*row, id=row[1]) for row in [
+    (["generate", "--morphism", "mbonacci", "--length", "5"],
+     "mbonacci needs an order, e.g. --morphism mbonacci:4"),
+    (["generate", "--morphism", "mbonacci:four", "--length", "5"],
+     "mbonacci order must be an integer, got 'four'"),
+    (["generate", "--morphism", "sturmian:", "--length", "5"],
+     "sturmian needs steps, e.g. --morphism sturmian:phi,E"),
+    (["generate", "--morphism", "fibonaci", "--length", "5"],
+     "unknown morphism 'fibonaci'; use fibonacci, tribonacci, thue-morse, mbonacci:M, "
+     "sturmian:STEPS, or literal rules like 'a->ab,b->a'"),
+    (["complexity", "--morphism", "fibonacci", "--n-max", "3"], "--morphism needs --length"),
+    (["frequency", "--text", "ab", "--symbol", "a", "--target", "phi"],
+     "cannot parse target 'phi'"),
+    (["delta"], "pass exactly one of --apply or --factorize"),
+    (["fword", "--coverage", "2"], "--coverage needs --digits or --blocks as the budget"),
+    (["fword", "--find", "12"], "--find needs --digits as the search budget"),
+    (["fword"], "give --digits for a prefix, or --find/--coverage"),
+]])
+def test_usage_refusals(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"command": "error", "error": message, "kind": "usage"}
+
+
+def test_generate_mbonacci(capsys):
+    code, payload = run_json(capsys, "generate", "--morphism", "mbonacci:4", "--length", "20")
+    assert code == 0
+    assert payload["morphism"] == "1->12,2->13,3->14,4->1" and payload["seed_symbol"] == "1"
+    assert payload["word"] == str(fibword.fixed_point_prefix(fibword.mbonacci_morphism(4),
+                                                             "1", 20))
+
+
+def test_empty_text_is_a_word_over_a(capsys):
+    """--text '' is the empty word over the alphabet a, as for squarefree --test."""
+    code, payload = run_json(capsys, "frequency", "--text", "", "--symbol", "a")
+    assert code == 0 and (payload["frequency"], payload["word_length"]) == ("0/1", 0)
+    code, payload = run_json(capsys, "palindromes", "--text", "")
+    assert code == 0
+    assert (payload["palindromic_factors"], payload["scattered_palindromes"]) == (0, 0)
+    for argv, message in [
+        (["complexity", "--n-max", "1"], "complexity profiles need a nonempty word"),
+        (["arithmetic", "--n-max", "1"], "complexity profiles need a nonempty word"),
+        (["sturmian", "--n-max", "1"], "complexity profiles need a nonempty word"),
+        (["balance", "--symbol", "a", "--target", "0", "--n-max", "1"],
+         "window lengths must lie in 1..0"),
+    ]:
+        code, out, err = run(capsys, *argv, "--text", "")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"command": "error", "error": message, "kind": "domain"}
 
 
 COMMANDS = ["generate", "complexity", "arithmetic", "sturmian", "squarefree", "delta",

@@ -1154,3 +1154,25 @@ def test_factor_palindromes_bounded_by_scattered():
     for _ in range(300):
         w = random_word(rng, rng.choice((2, 3)), rng.randrange(1, 14))
         assert palindromic_factor_count(w) <= scattered_palindrome_count(w)
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*row, id=row[1]) for row in [
+    (lambda: complexity.ComplexityProfile("factor", (2, 3)).count(3),
+     "profile covers 1..2, got n=3"),
+    (lambda: complexity.ComplexityProfile("factor", (2, 3)).count(0),
+     "profile covers 1..2, got n=0"),
+    (lambda: factor_complexity(Word(binary_alphabet()), 1),
+     "complexity profiles need a nonempty word"),
+    (lambda: arithmetic_complexity(Word(binary_alphabet()), 1),
+     "complexity profiles need a nonempty word"),
+    (lambda: square_free_census(0, 3), "alphabet_size must be at least 1"),
+    (lambda: square_free_census(3, 3, workers=0), "workers must be at least 1"),
+    (lambda: square_free_census(3), "census never terminates on 3+ letters (square-free "
+                                    "words of every length exist); pass an explicit n_max"),
+    (lambda: square_free_census(2, -1), "n_max must be nonnegative"),
+    (lambda: square_free_words(3), "a bound is required on 3+ letters"),
+]])
+def test_refusals(call, message):
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert refusal.type is DomainError and str(refusal.value) == message

@@ -356,3 +356,13 @@ def test_random_word_frequencies_sum_to_one():
         w = Word.from_indices(binary_alphabet(), (rng.randrange(2) for _ in range(length)))
         total = symbol_frequency(w, "a") + symbol_frequency(w, "b")
         assert total == 1
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*row, id=row[1]) for row in [
+    (lambda: golden_density(0), "n_max must be at least 1"),
+    (lambda: fibonacci_ratio(0), "n must be at least 1"),
+]])
+def test_refusals(call, message):
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert refusal.type is DomainError and str(refusal.value) == message

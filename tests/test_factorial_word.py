@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from fibword import (
     BudgetError,
     DomainError,
+    Word,
     coverage_profile,
+    digit_alphabet,
     factor_search,
     factorial_blocks,
     factorial_word_prefix,
@@ -845,3 +847,18 @@ def test_weyl_rejects_bad_args():
         logfactorial_equidistribution(10, 0)
     with pytest.raises(DomainError):
         logfactorial_equidistribution(10, 100, frequency=0)
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*row, id=row[1]) for row in [
+    (lambda: factorial_word_prefix(10, -1), "n_digits must be nonnegative"),
+    (lambda: factor_search(10, Word.from_string("1", digit_alphabet(2)), 10),
+     "target must be a word over the digit alphabet of the base"),
+    (lambda: factor_search(10, "1", 0), "digit budget must be positive"),
+    (lambda: coverage_profile(10, 3, 2), "digit budget 2 cannot hold a length-3 window"),
+    (lambda: leading_digits_search(10, "1", -1), "n budget must be nonnegative"),
+    (lambda: logfactorial_equidistribution(10, 10, bins=0), "bins must be at least 1"),
+]])
+def test_refusals(call, message):
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert refusal.type is DomainError and str(refusal.value) == message

@@ -613,3 +613,15 @@ def test_bruteforce_walk_budget(monkeypatch):
     assert residue_density_bruteforce(19, 1) == Fraction(12, 19)
     monkeypatch.setenv("FIBWORD_PERIOD_STEPS", "342")
     assert residue_density_bruteforce(19, 2) == Fraction(210, 361)
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*row, id=row[1]) for row in [
+    (lambda: fib_pair(-1), "n must be nonnegative"),
+    (lambda: fib_pair_mod(-1, 7), "n must be nonnegative"),
+    (lambda: fib_pair_mod(5, 0), "modulus must be at least 1"),
+    (lambda: residue_density_bruteforce(7, -1), "lambda must be nonnegative"),
+]])
+def test_refusals(call, message):
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert refusal.type is DomainError and str(refusal.value) == message

@@ -322,3 +322,83 @@ def test_morphism_rule_parse_errors():
         Morphism.from_rules("a=ab")
     with pytest.raises(DomainError):
         Morphism.from_rules("a->ab,a->a")
+
+
+def join_oracle(w):
+    """The per-symbol join str(w) used to be."""
+    return "".join(w.alphabet.labels[i] for i in w.data)
+
+
+@st.composite
+def labelled_words(draw):
+    """Words over ASCII labels, Greek labels, or 129-255 labels of any plane, so
+    that indices of 128 and up are drawn too."""
+    labels = draw(st.one_of(
+        st.just("ab"),
+        st.just("αβγ"),
+        st.integers(129, 255).flatmap(lambda k: st.lists(
+            st.characters(exclude_categories=("Cs",)), min_size=k, max_size=k, unique=True)),
+    ))
+    alphabet = Alphabet(labels)
+    data = draw(st.lists(st.integers(0, len(alphabet) - 1), max_size=300))
+    return Word.from_indices(alphabet, data)
+
+
+@settings(max_examples=200)
+@given(labelled_words())
+def test_str_matches_the_per_symbol_join(w):
+    assert str(w) == w.to_string() == join_oracle(w)
+
+
+def test_repr_shows_at_most_37_symbols_of_a_long_word():
+    alpha = Alphabet("αβγ")
+    for n in (0, 1, 40, 41, 42, 1000):
+        w = Word.from_indices(alpha, (i * i % 3 for i in range(n)))
+        text = join_oracle(w)
+        shown = text if n <= 40 else text[:37] + "..."
+        assert repr(w) == f"Word({shown!r})"
+
+
+def test_str_memory():
+    # the per-symbol join peaked at 9.0 MiB on these 10^6 symbols
+    w = fixed_point_prefix(fibonacci_morphism(), "a", 10 ** 6)
+    tracemalloc.start()
+    try:
+        text = str(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == join_oracle(w)
+    assert peak < 3 * 2 ** 20
+
+
+ab = binary_alphabet()
+not_endo = Morphism.from_dict({"a": "01", "b": "1"})  # from {a, b} to {0, 1}
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*row, id=row[1]) for row in [
+    (lambda: Alphabet(""), "alphabet must contain at least one symbol"),
+    (lambda: Alphabet(map(chr, range(256))),
+     "alphabets larger than 255 symbols are not supported"),
+    (lambda: Alphabet(["a", "bc"]), "symbol labels must be single characters, got 'bc'"),
+    (lambda: ab.as_index(2), "symbol index 2 out of range for Alphabet('ab')"),
+    (lambda: ab.as_index(-1), "symbol index -1 out of range for Alphabet('ab')"),
+    (lambda: Morphism(ab, ab, [Word.from_string("a", ab)]),
+     "need exactly one image per source symbol"),
+    (lambda: Morphism(ab, ab, [Word.from_string("a", ab), Word.from_string("b", Alphabet("b"))]),
+     "morphism images must be words over the target alphabet"),
+    (lambda: Morphism.from_rules("ab->a,b->a"), "rule source 'ab' must be a single symbol"),
+    (lambda: Morphism.from_dict({"a": "ab"}, ab, ab), "no rule for symbol 'b'"),
+    (lambda: fibonacci_morphism().apply(Word.from_string("a", Alphabet("a"))),
+     "word is not over this morphism's source alphabet"),
+    (lambda: not_endo.then(fibonacci_morphism()),
+     "composition mismatch: target and source alphabets differ"),
+    (lambda: fixed_point_prefix(fibonacci_morphism(), "a", -1), "length must be nonnegative"),
+    (lambda: fixed_point_prefix(not_endo, "a", 5),
+     "fixed points need an endomorphism (same source and target)"),
+    (lambda: adjacency_matrix(not_endo), "adjacency matrix is defined for endomorphisms only"),
+]])
+def test_refusals(call, message):
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert refusal.type is DomainError and str(refusal.value) == message
