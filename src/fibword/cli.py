@@ -44,39 +44,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _plain(value):
-    """Make a value JSON- and CSV-friendly; Fractions become 'num/den'."""
+def _fraction(value):
+    """json.dumps's hook: a Fraction is written as "num/den"."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _csv_cell(value):
-    """A key/value CSV cell; a list or dict is written as JSON, so a reader can parse it back."""
-    return json.dumps(value, sort_keys=True) if isinstance(value, (list, dict)) else value
+def _csv_cell(value) -> str:
+    """A CSV cell quoted as csv.writer quotes it; a list or dict is written as JSON,
+    so a reader can parse it back."""
+    if value is None:
+        return ""
+    if isinstance(value, Fraction):
+        return _fraction(value)
+    text = (json.dumps(value, sort_keys=True, default=_fraction)
+            if isinstance(value, (list, tuple, dict)) else str(value))
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _emit(fmt: str, payload: dict, text_lines, csv_rows=None) -> None:
     if fmt == "json":
-        print(json.dumps(_plain(payload), sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, default=_fraction))
     elif fmt == "csv":
-        import csv
-        import io
-
         if csv_rows is None:
-            csv_rows = [("key", "value")]
-            csv_rows += [(k, _csv_cell(_plain(v))) for k, v in sorted(payload.items())
-                         if k != "command"]
-        buf = io.StringIO()
-        csv.writer(buf).writerows(csv_rows)
+            csv_rows = [("key", "value"), *((k, v) for k, v in sorted(payload.items())
+                                            if k != "command")]
         # the last line ending goes in a write of its own, as with print: an
         # unbuffered stdout drops what a short write leaves over silently,
         # and only the next write to a closed pipe raises BrokenPipeError
-        print(buf.getvalue()[:-2], end="\r\n")
+        print("\r\n".join(",".join(map(_csv_cell, row)) for row in csv_rows), end="\r\n")
     else:
         for line in text_lines:
             print(line)
@@ -360,22 +359,22 @@ def cmd_balance(args) -> tuple:
 
 
 def cmd_golden(args) -> tuple:
-    from . import density, modfib
+    import itertools
+
+    from . import density
 
     # the largest number printed is F(n_max + 1), as a Decimal, whose str() has no
-    # digit limit; the interpreter's limit on an int's digits (0 for none; Pythons
-    # before 3.10.7 have none) is kept only as golden's size bound. F(n + 1) >=
-    # 10^limit once n >= 5 limit, so F is only evaluated below that
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and args.n_max > 0 and (args.n_max >= 5 * limit
-                                     or modfib.fib(args.n_max + 1) >= 10 ** limit):
-        raise DomainError(f"F(n_max + 1) for n_max = {args.n_max} has more than {limit} "
+    # digit limit. n_max is bounded where F(n_max + 1) outgrows the 4300 digits to
+    # which the interpreter limits str(int) by default; F(20 577) is the last
+    # Fibonacci number within them. The bound is a constant, so the answer does
+    # not depend on the interpreter's setting
+    if args.n_max > 20576:
+        raise DomainError(f"F(n_max + 1) for n_max = {args.n_max} has more than 4300 "
                           "digits, the interpreter's limit for printing an integer")
     if args.n_max < 1:
         raise DomainError("n_max must be at least 1")
     # (F(n), F(n + 1)) as Decimals, whose str() is linear in the digits where an
-    # int's is quadratic; at the greatest precision and exponent every sum is exact,
-    # also with the digit limit lifted
+    # int's is quadratic; at the greatest precision and exponent every sum is exact
     add = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX).add
     # consecutive Fibonacci numbers are coprime, so F(n)/F(n + 1) is printed in
     # lowest terms with each F converted to a string once. |F(n)/F(n + 1) - (phi - 1)|
@@ -392,19 +391,20 @@ def cmd_golden(args) -> tuple:
         rows.append((n, f"{text}/{text_next}", 0.0 if f_next >= cutoff
                      else float(density.golden_deviation(Fraction(int(f), int(f_next))))))
         text = text_next
+    certified = density.golden_deviation_below(Fraction(int(f), int(f_next)),
+                                               Fraction(1, 10 ** 15))
     payload = {
         "ratios": [{"n": n, "ratio": r, "deviation": dev} for n, r, dev in rows],
         "tolerance": 1e-15,
+        "last_within_1e15": certified,
     }
-    # the text line prints F(1)/F(2) as "1"; JSON and CSV keep "1/1"
-    lines = [f"F({n})/F({n + 1}) = {r.removesuffix('/1')} (off by {dev:.3e})"
-             for n, r, dev in rows]
-    certified = density.golden_deviation_below(Fraction(int(f), int(f_next)),
-                                               Fraction(1, 10 ** 15))
-    payload["last_within_1e15"] = certified
-    if certified:
-        lines.append(f"F({args.n_max})/F({args.n_max + 1}) is within 1e-15 of phi - 1 "
-                     "(certified exactly)")
+    # built only when text is asked for; the text line prints F(1)/F(2) as "1",
+    # JSON and CSV keep "1/1"
+    lines = itertools.chain(
+        (f"F({n})/F({n + 1}) = {r.removesuffix('/1')} (off by {dev:.3e})"
+         for n, r, dev in rows),
+        [f"F({args.n_max})/F({args.n_max + 1}) is within 1e-15 of phi - 1 "
+         "(certified exactly)"] if certified else [])
     return payload, lines, [("n", "ratio", "deviation")] + rows
 
 
@@ -488,8 +488,7 @@ def cmd_densbrute(args) -> tuple:
         "levels": [{"lambda": lam, "density": d} for lam, d in enumerate(trace)],
     }
     lines = [f"lambda={lam}: {d} ~ {float(d):.10f}" for lam, d in enumerate(trace)]
-    csv_rows = [("lambda", "density")] + [(lam, _plain(d)) for lam, d in enumerate(trace)]
-    return payload, lines, csv_rows
+    return payload, lines, [("lambda", "density")] + list(enumerate(trace))
 
 
 def cmd_fword(args) -> tuple:

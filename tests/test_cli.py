@@ -13,6 +13,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibword
 from fibword import BudgetError, budgets, cli, fib_pair_mod, verify
@@ -222,22 +224,33 @@ def test_golden_deviations_past_the_cutoff_are_zero(capsys, monkeypatch):
     assert payload["ratios"][700]["deviation"] > 0
 
 
-def test_golden_refuses_ratios_past_the_interpreter_digit_limit(capsys):
-    """F(n_max + 1) is printed, so golden refuses an n_max whose F(n_max + 1) has
-    more digits than str() allows, before it builds any ratio."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        code, payload = run_json(capsys, "golden", "--n-max", "3063")
-        assert code == 0 and len(payload["ratios"][-1]["ratio"].split("/")[1]) == 640
-        start = time.perf_counter()
-        code, out, err = run(capsys, "golden", "--n-max", "3064")
-        assert time.perf_counter() - start < 1
-    finally:
+GOLDEN_REFUSAL = ("F(n_max + 1) for n_max = 20577 has more than 4300 digits, "
+                  "the interpreter's limit for printing an integer")
+
+
+def test_golden_answer_does_not_depend_on_the_interpreter_digit_limit(capsys):
+    """golden prints every F as a Decimal, never through str(int), and refuses
+    n_max > 20 576 whatever limit the interpreter sets on str(int): F(20 577) is
+    the last Fibonacci number of at most 4300 digits, the default limit."""
+    requests = [("golden", "--n-max", "3064", "--format", fmt) for fmt in ("text", "csv")]
+    requests += [("golden", "--n-max", n, "--format", "json") for n in ("3064", "20576")]
+    want = {argv: run(capsys, *argv) for argv in requests}
+    ratio = json.loads(want["golden", "--n-max", "20576", "--format", "json"][1])
+    assert len(ratio["ratios"][-1]["ratio"].split("/")[1]) == 4300
+    default = sys.get_int_max_str_digits()
+    for limit in (640, 0):
         sys.set_int_max_str_digits(limit)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    error = json.loads(err)
-    assert error["kind"] == "domain" and "more than 640 digits" in error["error"]
+        try:
+            for argv in requests:
+                assert run(capsys, *argv) == want[argv], (limit, argv)
+            start = time.perf_counter()
+            code, out, err = run(capsys, "golden", "--n-max", "20577")
+            assert time.perf_counter() - start < 1
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"command": "error", "error": GOLDEN_REFUSAL,
+                                   "kind": "domain"}
     code, out, err = run(capsys, "golden", "--n-max", "0")
     assert code == 1 and "at least 1" in json.loads(err)["error"]
 
@@ -261,6 +274,59 @@ def test_csv_list_cells_read_back_as_json(capsys):
     assert lists == {"bracket", "frequencies", "conjugate_moduli"}
     for key in lists:
         assert json.loads(rows[key]) == payload[key], key
+
+
+def _csv_writer_row(row) -> str:
+    """The oracle: csv.writer's line for a row whose cells are first converted as
+    the CLI did before it joined cells itself (Fractions as "num/den", lists and
+    dicts as sorted JSON)."""
+    def plain(value):
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(v) for v in value]
+        return value
+
+    cells = [json.dumps(c, sort_keys=True) if isinstance(c, (list, dict)) else c
+             for c in map(plain, row)]
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
+
+
+_CSV_TEXT = st.text(alphabet=',"\r\n éab0', max_size=8)
+_CSV_SCALAR = (_CSV_TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+               | st.fractions(max_denominator=10 ** 6))
+_CSV_CELL = (_CSV_SCALAR | st.lists(_CSV_SCALAR, max_size=3)
+             | st.dictionaries(_CSV_TEXT, _CSV_SCALAR, max_size=3))
+
+
+# csv.writer writes a row of one empty cell as "" (an empty line would read back
+# as no row at all), which the join does not; no CLI row has that shape: the
+# key/value rows have two cells and squarefree --list words are nonempty
+@settings(max_examples=400)
+@given(st.lists(_CSV_CELL, min_size=2, max_size=3)
+       | st.tuples(st.text(alphabet=',"\r\n éab0', min_size=1, max_size=8)))
+def test_csv_cells_are_quoted_as_csv_writer_quotes_them(row):
+    assert ",".join(map(cli._csv_cell, row)) + "\r\n" == _csv_writer_row(row)
+
+
+@pytest.mark.parametrize("symbol", [",", '"'])
+def test_csv_key_value_cells_read_back_as_the_json_payload(capsys, symbol):
+    """Cells holding commas and quotes read back through csv.reader unchanged."""
+    argv = ["frequency", "--text", 'a,"b,a""', "--symbol", symbol, "--window", "2"]
+    payload = run_json(capsys, *argv)[1]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    cells = dict(rows[1:])
+    del payload["command"]
+    assert cells.keys() == payload.keys() and cells["symbol"] == symbol
+    for key, value in payload.items():
+        assert (cells[key] if isinstance(value, str) else json.loads(cells[key])) == value, key
 
 
 def test_json_keys_are_the_schema_properties(capsys):
